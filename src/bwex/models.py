@@ -258,19 +258,22 @@ def conditioning_fanout(h: np.ndarray, weights: np.ndarray, biases: np.ndarray) 
 
     h [B, T, H_up] with weights [r, H_down, H_up] yields [B, T*r, H_down]:
     each upper step t emits r projections, ordered j = 1..r within t.
+    The r projections of all steps are one GEMM against the weights viewed
+    as [r * H_down, H_up].
     """
-    expanded = np.einsum("bth,rjh->btrj", h, weights) + biases
-    batch, steps, ratio, down = expanded.shape
+    batch, steps, up = h.shape
+    ratio, down, _ = weights.shape
+    expanded = h.reshape(-1, up) @ weights.reshape(ratio * down, up).T
+    expanded += biases.reshape(-1)
     return expanded.reshape(batch, steps * ratio, down)
 
 
 def _fanout_backward(d_out: np.ndarray, h: np.ndarray, weights: np.ndarray):
-    batch, total, down = d_out.shape
-    ratio = weights.shape[0]
-    d4 = d_out.reshape(batch, total // ratio, ratio, down)
-    d_weights = np.einsum("btrj,bth->rjh", d4, h)
-    d_biases = d4.sum(axis=(0, 1))
-    dh = np.einsum("btrj,rjh->bth", d4, weights)
+    ratio, down, up = weights.shape
+    d2 = d_out.reshape(-1, ratio * down)
+    d_weights = (d2.T @ h.reshape(-1, up)).reshape(weights.shape)
+    d_biases = d2.sum(axis=0).reshape(ratio, down)
+    dh = (d2 @ weights.reshape(ratio * down, up)).reshape(h.shape)
     return d_weights, d_biases, dh
 
 

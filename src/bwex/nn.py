@@ -13,6 +13,7 @@ import dataclasses
 import warnings
 
 import numpy as np
+from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -88,32 +89,21 @@ class LstmParams:
         return self.recurrent_weights.shape[1]
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _split_gates(z, hidden):
     return z[..., :hidden], z[..., hidden : 2 * hidden], z[..., 2 * hidden : 3 * hidden], z[..., 3 * hidden :]
 
 
 def lstm_step(p: LstmParams, h_prev: np.ndarray, c_prev: np.ndarray, x: np.ndarray):
-    """One LSTM step for a batch; returns (h, c)."""
+    """One LSTM step for a batch x [B, n_in]; returns (h, c).
+
+    Runs the same cell code as one step of `lstm_forward`.
+    """
     _check_last_dim("lstm_step", x, p.input_weights.shape[1])
     if h_prev.shape[-1] != p.hidden or c_prev.shape[-1] != p.hidden:
         raise ShapeError(
             f"lstm_step: state dims {h_prev.shape[-1]}/{c_prev.shape[-1]} do not match hidden {p.hidden}"
         )
-    z = x @ p.input_weights.T + h_prev @ p.recurrent_weights.T + p.biases
-    zi, zf, zg, zo = _split_gates(z, p.hidden)
-    gi, gf, go = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo)
-    gg = np.tanh(zg)
-    c = gf * c_prev + gi * gg
-    h = go * np.tanh(c)
+    _, (h, c), _ = lstm_forward(p, x[:, None], h_prev, c_prev)
     return h, c
 
 
@@ -143,20 +133,16 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
     tanh_c = np.empty_like(h_seq)
     h, c = h0, c0
     for t in range(steps):
-        z = x_proj[:, t] + h @ p.recurrent_weights.T
-        zi, zf, zg, zo = _split_gates(z, hidden)
-        gi, gf, go = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo)
-        gg = np.tanh(zg)
-        c = gf * c + gi * gg
-        tc = np.tanh(c)
-        h = go * tc
-        gates[:, t, :hidden] = gi
-        gates[:, t, hidden : 2 * hidden] = gf
-        gates[:, t, 2 * hidden : 3 * hidden] = gg
-        gates[:, t, 3 * hidden :] = go
-        h_seq[:, t] = h
-        c_seq[:, t] = c
-        tanh_c[:, t] = tc
+        z = h @ p.recurrent_weights.T
+        z += x_proj[:, t]
+        # One logistic pass over all four packed gates (expit saturates
+        # without overflow), then tanh overwrites the cell slot from z.
+        g = expit(z, out=gates[:, t])
+        np.tanh(z[:, 2 * hidden : 3 * hidden], out=g[:, 2 * hidden : 3 * hidden])
+        gi, gf, gg, go = _split_gates(g, hidden)
+        c = np.add(gf * c, gi * gg, out=c_seq[:, t])
+        tc = np.tanh(c, out=tanh_c[:, t])
+        h = np.multiply(go, tc, out=h_seq[:, t])
     cache = LstmCache(x, h0, c0, h_seq, c_seq, gates, tanh_c)
     return h_seq, (h_seq[:, -1].copy(), c_seq[:, -1].copy()), cache
 
@@ -177,12 +163,12 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
         c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
         dh = dh_seq[:, t] + dh_next
         dc = dh * go * (1.0 - tc * tc) + dc_next
-        dzo = dh * tc * go * (1.0 - go)
-        dzi = dc * gg * gi * (1.0 - gi)
-        dzf = dc * c_prev * gf * (1.0 - gf)
-        dzg = dc * gi * (1.0 - gg * gg)
-        dz = np.concatenate([dzi, dzf, dzg, dzo], axis=-1)
-        dz_seq[:, t] = dz
+        dz = dz_seq[:, t]
+        dzi, dzf, dzg, dzo = _split_gates(dz, hidden)
+        dzo[...] = dh * tc * go * (1.0 - go)
+        dzi[...] = dc * gg * gi * (1.0 - gi)
+        dzf[...] = dc * c_prev * gf * (1.0 - gf)
+        dzg[...] = dc * gi * (1.0 - gg * gg)
         dh_next = dz @ p.recurrent_weights
         dc_next = dc * gf
     dz2 = dz_seq.reshape(-1, 4 * hidden)
@@ -223,10 +209,9 @@ def embed(table: EmbeddingTable, levels: np.ndarray) -> np.ndarray:
 
 
 def embed_backward(table: EmbeddingTable, levels: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Scatter-add dy into the rows that were gathered."""
-    dtable = np.zeros_like(table.table)
-    np.add.at(dtable, np.asarray(levels).reshape(-1), dy.reshape(-1, dy.shape[-1]))
-    return dtable
+    """Scatter-add dy into the rows that were gathered, as one one-hot GEMM."""
+    one_hot = np.eye(N_LEVELS, dtype=dy.dtype)[np.asarray(levels).reshape(-1)]
+    return (one_hot.T @ dy.reshape(-1, dy.shape[-1])).astype(table.table.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

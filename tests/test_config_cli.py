@@ -1,9 +1,15 @@
 """Config-text parsing/serialization and the command-line contract
 (subcommands, exit codes, deterministic outputs)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bwex
 from bwex import dsp
 from bwex.cli import main
 from bwex.config import ConfigError, build_run_config, parse_config_text, serialize_config
@@ -282,3 +288,28 @@ class TestCliLatency:
     def test_config_error_exit_1(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "model.kind = vocoder\n")
         assert main(["latency", "--config", cfg]) == 1
+
+
+def test_threads_pinned_before_numpy_loads(tmp_path):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("model.kind = hrnn\n")
+    script = (
+        "import os, sys\n"
+        "import bwex.cli\n"
+        "assert 'numpy' not in sys.modules, 'import bwex.cli loaded numpy'\n"
+        f"assert bwex.cli.main(['--threads', '1', 'latency', '--config', {str(cfg)!r}]) == 0\n"
+        "assert 'numpy' in sys.modules and os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_root_resolves_names_and_train_is_the_submodule():
+    import bwex.train
+
+    assert bwex.train is sys.modules["bwex.train"]
+    assert bwex.Hrnn is sys.modules["bwex.models"].Hrnn
+    with pytest.raises(AttributeError):
+        bwex.no_such_name

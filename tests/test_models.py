@@ -148,6 +148,27 @@ class TestConditioningFanout:
         np.testing.assert_array_equal(d[0, :4], d[0, 4:8])
         np.testing.assert_array_equal(d[0, :4], d[0, 8:])
 
+    @pytest.mark.parametrize("ratio", [1, 4])
+    def test_matches_einsum_reference(self, ratio):
+        # The einsum expressions of the fan-out and its backward serve as
+        # the oracle for the GEMM forms. Entries that cancel to near zero
+        # differ by an ulp of the O(1) terms, hence the matching atol.
+        from bwex.models import _fanout_backward
+
+        rng = np.random.default_rng(ratio)
+        batch, steps, up, down = 3, 5, 7, 6
+        h = rng.standard_normal((batch, steps, up))
+        w = rng.standard_normal((ratio, down, up))
+        b = rng.standard_normal((ratio, down))
+        expected = (np.einsum("bth,rjh->btrj", h, w) + b).reshape(batch, steps * ratio, down)
+        np.testing.assert_allclose(conditioning_fanout(h, w, b), expected, rtol=1e-12, atol=1e-12)
+        d_out = rng.standard_normal((batch, steps * ratio, down))
+        d4 = d_out.reshape(batch, steps, ratio, down)
+        d_weights, d_biases, dh = _fanout_backward(d_out, h, w)
+        np.testing.assert_allclose(d_weights, np.einsum("btrj,bth->rjh", d4, h), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d_biases, d4.sum(axis=(0, 1)), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dh, np.einsum("btrj,rjh->bth", d4, w), rtol=1e-12, atol=1e-12)
+
 
 class TestHrnnForward:
     @pytest.mark.parametrize("frame_sizes", [(16, 4), (32, 8), (64, 8)])
