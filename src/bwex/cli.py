@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 EXIT_OK = 0
@@ -35,19 +34,6 @@ def _set_threads(n: int | None):
         n = int(env)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(n)
-
-
-def _write_text_atomic(path, text: str):
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def cmd_train(args) -> int:
@@ -90,6 +76,8 @@ def cmd_extend(args) -> int:
             f"{args.input}: expected {NARROWBAND_RATE} Hz narrowband input,"
             f" got {narrowband.sample_rate_hz}"
         )
+    if len(narrowband) == 0:
+        raise data.DataError(f"{args.input}: no samples to extend")
     conditions = None
     if getattr(run_cfg.model_cfg, "conditional", False):
         if args.features is not None:
@@ -100,6 +88,8 @@ def cmd_extend(args) -> int:
             raise data.DataError(
                 "conditional model needs --features (no on-the-fly condition source configured)"
             )
+        if conditions.n_frames == 0:
+            raise data.DataError("condition track has no frames: input shorter than one analysis window")
     levels = dsp.mulaw_encode(dsp.upsample2(narrowband))
     generated = generate(model, levels, conditions)
     wideband = reconstruct_wideband(
@@ -126,7 +116,7 @@ def _wav_map(source) -> dict:
 
 def cmd_eval(args) -> int:
     from . import data
-    from .metrics import build_report, evaluate_utterance, format_report_csv, format_report_text
+    from .metrics import LSD_FRAME_LEN, build_report, evaluate_utterance, format_report_csv, format_report_text
 
     ref_map = _wav_map(args.ref)
     deg_map = _wav_map(args.deg)
@@ -140,11 +130,20 @@ def cmd_eval(args) -> int:
         raise data.DataError("no utterances to evaluate")
     rows = []
     for utt_id in sorted(ref_map):
-        rows.append(
-            evaluate_utterance(utt_id, data.load_wav(ref_map[utt_id]), data.load_wav(deg_map[utt_id]))
-        )
+        reference, degraded = data.load_wav(ref_map[utt_id]), data.load_wav(deg_map[utt_id])
+        if (len(reference), reference.sample_rate_hz) != (len(degraded), degraded.sample_rate_hz):
+            raise data.DataError(
+                f"{utt_id}: reference has {len(reference)} samples at {reference.sample_rate_hz} Hz,"
+                f" degraded {len(degraded)} samples at {degraded.sample_rate_hz} Hz"
+            )
+        if len(reference) < LSD_FRAME_LEN:
+            raise data.DataError(
+                f"{utt_id}: {len(reference)} samples, the metrics need at least {LSD_FRAME_LEN}"
+            )
+        rows.append(evaluate_utterance(utt_id, reference, degraded))
     report = build_report(rows)
-    _write_text_atomic(args.report, format_report_csv(report))
+    csv = format_report_csv(report).encode("utf-8")
+    data._atomic_write(args.report, lambda handle: handle.write(csv))
     print(format_report_text(report))
     print(f"wrote {args.report}")
     return EXIT_OK
@@ -163,6 +162,10 @@ def cmd_features(args) -> int:
             f"{args.input}: expected {NARROWBAND_RATE} Hz input, got {narrowband.sample_rate_hz}"
         )
     track = data.narrowband_mfcc(narrowband)
+    if track.n_frames == 0:
+        raise data.DataError(
+            f"{args.input}: {len(narrowband)} samples is shorter than one MFCC analysis window"
+        )
     data.save_features(args.out, track)
     print(f"wrote {args.out}: {track.n_frames} frames x {track.dim} dims")
     return EXIT_OK
@@ -229,7 +232,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

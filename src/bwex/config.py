@@ -10,7 +10,7 @@ import dataclasses
 from pathlib import Path
 
 from .models import HrnnConfig, ModelConfig, SrnnConfig
-from .train import Checkpoint, TrainConfig
+from .train import Checkpoint, CheckpointError, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -223,10 +223,17 @@ def serialize_config(
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild the trained model (and its RunConfig) from a checkpoint."""
+    """Rebuild the trained model (and its RunConfig) from a checkpoint.
+
+    The model adopts the checkpoint's arrays rather than copying them, so
+    the two share memory. Tensors that do not fit the configured
+    architecture raise CheckpointError.
+    """
     from .models import build_model  # local import keeps module load light
 
     run_cfg = build_run_config(ckpt.config_text)
-    model = build_model(run_cfg.model_cfg, rng=0)
-    model.load_params(ckpt.params)
+    try:
+        model = build_model(run_cfg.model_cfg, params=ckpt.params)
+    except ValueError as exc:
+        raise CheckpointError(f"tensors do not match the checkpoint's config: {exc}") from exc
     return model, run_cfg

@@ -51,6 +51,8 @@ def load_wav(path) -> Waveform:
         raise DataError(f"{path}: expected mono audio, found {n_channels} channels")
     if sample_width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, found {8 * sample_width}-bit")
+    if len(payload) % 2:
+        raise DataError(f"{path}: truncated sample data ({len(payload)} bytes)")
     pcm = np.frombuffer(payload, dtype="<i2")
     return Waveform(pcm.astype(np.float64) / _PCM_SCALE, rate)
 

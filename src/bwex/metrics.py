@@ -32,7 +32,8 @@ def _check_comparable(reference: Waveform, degraded: Waveform):
 
 
 def snr(reference: Waveform, degraded: Waveform) -> float:
-    """Global waveform SNR in dB, capped at +120 for the zero-noise case."""
+    """Global waveform SNR in dB, capped at +120 for the zero-noise case
+    and at -120 for a silent reference."""
     _check_comparable(reference, degraded)
     return _snr_samples(reference.samples, degraded.samples)
 
@@ -42,6 +43,8 @@ def _snr_samples(ref: np.ndarray, deg: np.ndarray) -> float:
     noise = float(np.sum((ref - deg) ** 2))
     if noise == 0.0:
         return SNR_CAP_DB
+    if signal == 0.0:
+        return -SNR_CAP_DB
     return min(10.0 * math.log10(signal / noise), SNR_CAP_DB)
 
 

@@ -282,53 +282,58 @@ def _relu(x):
 
 
 # ---------------------------------------------------------------------------
-# HRNN
+# Parameter core shared by both architectures
 # ---------------------------------------------------------------------------
 
-class Hrnn:
-    """Hierarchical model; parameters live in a flat name->array dict."""
+def _uniform(fan_in: int):
+    return lambda shape, rng, dtype: nn.init_uniform(shape, fan_in, rng, dtype)
 
-    def __init__(self, cfg: HrnnConfig, rng: np.random.Generator | int | None = None, dtype=np.float32):
+
+def _zeros(shape, rng, dtype):
+    return np.zeros(shape, dtype=dtype)
+
+
+def _lstm_biases(shape, rng, dtype):
+    return nn.lstm_biases(shape[0] // 4, dtype)
+
+
+def _affine_layout(prefix: str, n_out: int, n_in: int) -> dict:
+    return {f"{prefix}.w": ((n_out, n_in), _uniform(n_in)), f"{prefix}.b": ((n_out,), _zeros)}
+
+
+def _lstm_layout(prefix: str, hidden: int, n_in: int) -> dict:
+    return {
+        f"{prefix}.wx": ((4 * hidden, n_in), _uniform(n_in)),
+        f"{prefix}.wh": ((4 * hidden, hidden), _uniform(hidden)),
+        f"{prefix}.b": ((4 * hidden,), _lstm_biases),
+    }
+
+
+def _embed_layout(embed_dim: int) -> dict:
+    return {"embed.table": ((nn.N_LEVELS, embed_dim), _uniform(embed_dim))}
+
+
+class _Model:
+    """Flat name->array parameter registry shared by Srnn and Hrnn.
+
+    Each architecture declares its tensors in `_layout()` as name ->
+    (shape, init), in the order initialization draws them from the rng,
+    and its recurrent layers in `_lstm_prefixes()` as state key -> prefix.
+    With `params`, the model adopts those arrays instead of drawing: names
+    and shapes are checked, nothing is random, and an array that already
+    has the model's dtype and a C-contiguous layout is not copied.
+    """
+
+    def __init__(self, cfg, rng: np.random.Generator | int | None = None, dtype=np.float32, params: dict | None = None):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.params: dict[str, np.ndarray] = {}
-        self._init_params(rng)
-
-    def _add_affine(self, prefix: str, n_out: int, n_in: int, rng):
-        p = nn.AffineParams.create(n_out, n_in, rng, self.dtype)
-        self.params[f"{prefix}.w"] = p.weight
-        self.params[f"{prefix}.b"] = p.bias
-
-    def _add_lstm(self, prefix: str, hidden: int, n_in: int, rng):
-        p = nn.LstmParams.create(hidden, n_in, rng, self.dtype)
-        self.params[f"{prefix}.wx"] = p.input_weights
-        self.params[f"{prefix}.wh"] = p.recurrent_weights
-        self.params[f"{prefix}.b"] = p.biases
-
-    def _init_params(self, rng):
-        cfg = self.cfg
-        self.params["embed.table"] = nn.EmbeddingTable.create(cfg.embed_dim, rng, self.dtype).table
-        for k, tier in enumerate(cfg.tiers):
-            name = f"tier{k + 1}"
-            width = cfg.tier_width(k)
-            if tier.kind == "sample":
-                self._add_affine(f"{name}.combine", width, tier.n_concat * cfg.embed_dim, rng)
-                self._add_affine(f"{name}.ff1", width, width, rng)
-                self._add_affine(f"{name}.ff2", cfg.vocab, width, rng)
-                continue
-            if tier.kind == "conditional":
-                n_in = cfg.cond_dim
-            else:
-                n_in = tier.n_concat * tier.frame_size
-            if tier.kind == "intermediate":
-                self._add_affine(f"{name}.combine", width, n_in, rng)
-                n_in = width
-            self._add_lstm(f"{name}.lstm", width, n_in, rng)
-            ratio = tier.frame_size // cfg.tiers[k - 1].frame_size
-            below = cfg.tier_width(k - 1)
-            self.params[f"{name}.fanout.w"] = nn.init_uniform((ratio, below, width), width, rng, self.dtype)
-            self.params[f"{name}.fanout.b"] = np.zeros((ratio, below), dtype=self.dtype)
+        layout = self._layout()
+        if params is None:
+            rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+            self.params = {name: init(shape, rng, self.dtype) for name, (shape, init) in layout.items()}
+        else:
+            _check_params({name: shape for name, (shape, _) in layout.items()}, params)
+            self.params = {name: np.ascontiguousarray(params[name], dtype=self.dtype) for name in layout}
 
     def _affine(self, prefix: str) -> nn.AffineParams:
         return nn.AffineParams(self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
@@ -340,28 +345,81 @@ class Hrnn:
         return nn.EmbeddingTable(self.params["embed.table"])
 
     def init_state(self, batch_size: int) -> dict:
-        """Zero hidden/cell states for every LSTM tier (utterance start)."""
+        """Zero hidden/cell states for every LSTM layer (utterance start)."""
         state = {}
-        for k, tier in enumerate(self.cfg.tiers):
-            if tier.kind == "sample":
-                continue
-            width = self.cfg.tier_width(k)
-            zeros = np.zeros((batch_size, width), dtype=self.dtype)
-            state[k] = (zeros, zeros.copy())
+        for key, prefix in self._lstm_prefixes().items():
+            zeros = np.zeros((batch_size, self.params[f"{prefix}.wh"].shape[1]), dtype=self.dtype)
+            state[key] = (zeros, zeros.copy())
         return state
 
     def load_params(self, values: dict):
-        """Replace all parameters; names and shapes must match exactly."""
-        unknown = set(values) - set(self.params)
-        missing = set(self.params) - set(values)
-        if unknown or missing:
-            raise ValueError(f"parameter name mismatch: unknown={sorted(unknown)}, missing={sorted(missing)}")
+        """Copy new values into the existing parameter arrays; names and
+        shapes must match exactly."""
+        _check_params({name: value.shape for name, value in self.params.items()}, values)
         for name, value in values.items():
-            if value.shape != self.params[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {value.shape} vs {self.params[name].shape}"
-                )
-            self.params[name][...] = value.astype(self.dtype)
+            self.params[name][...] = value
+
+
+def _check_params(shapes: dict, values: dict):
+    unknown = set(values) - set(shapes)
+    missing = set(shapes) - set(values)
+    if unknown or missing:
+        raise ValueError(f"parameter name mismatch: unknown={sorted(unknown)}, missing={sorted(missing)}")
+    for name, value in values.items():
+        if value.shape != shapes[name]:
+            raise ValueError(f"shape mismatch for {name!r}: {value.shape} vs {shapes[name]}")
+
+
+# ---------------------------------------------------------------------------
+# HRNN
+# ---------------------------------------------------------------------------
+
+class Hrnn(_Model):
+    """Hierarchical model; parameters live in a flat name->array dict."""
+
+    def _layout(self) -> dict:
+        cfg = self.cfg
+        layout = _embed_layout(cfg.embed_dim)
+        for k, tier in enumerate(cfg.tiers):
+            name = f"tier{k + 1}"
+            width = cfg.tier_width(k)
+            if tier.kind == "sample":
+                layout.update(_affine_layout(f"{name}.combine", width, tier.n_concat * cfg.embed_dim))
+                layout.update(_affine_layout(f"{name}.ff1", width, width))
+                layout.update(_affine_layout(f"{name}.ff2", cfg.vocab, width))
+                continue
+            if tier.kind == "conditional":
+                n_in = cfg.cond_dim
+            else:
+                n_in = tier.n_concat * tier.frame_size
+            if tier.kind == "intermediate":
+                layout.update(_affine_layout(f"{name}.combine", width, n_in))
+                n_in = width
+            layout.update(_lstm_layout(f"{name}.lstm", width, n_in))
+            ratio = tier.frame_size // cfg.tiers[k - 1].frame_size
+            below = cfg.tier_width(k - 1)
+            layout[f"{name}.fanout.w"] = ((ratio, below, width), _uniform(width))
+            layout[f"{name}.fanout.b"] = ((ratio, below), _zeros)
+        return layout
+
+    def _lstm_prefixes(self) -> dict:
+        return {k: f"tier{k + 1}.lstm" for k, tier in enumerate(self.cfg.tiers) if tier.kind != "sample"}
+
+    def _sample_tables(self) -> list:
+        """The sample tier's embedding composed with its combine layer.
+
+        Slot j of the concatenated embeddings meets columns
+        j*E .. (j+1)*E of the combine weights, so row v of table j is the
+        combine output (bias excluded) that level v contributes from
+        slot j: one [256, E] x [E, H] product per slot.
+        """
+        embed_dim = self.cfg.embed_dim
+        table = self.params["embed.table"]
+        weight = self.params["tier1.combine.w"]
+        return [
+            nn.EmbeddingTable(table @ weight[:, j * embed_dim : (j + 1) * embed_dim].T)
+            for j in range(self.cfg.tiers[0].n_concat)
+        ]
 
     def forward(self, levels: np.ndarray, conditions: np.ndarray | None = None, state: dict | None = None):
         """Run the hierarchy over a padded batch.
@@ -421,16 +479,16 @@ class Hrnn:
             tier_cache["h"] = h_seq
             cache["tiers"][k] = tier_cache
 
-        # Sample tier: concatenated embeddings meet the conditioning stream.
-        sample = cfg.tiers[0]
-        vectors = nn.embed(self._embedding(), levels)
-        f_sample = _frame_inputs(vectors, 1, sample.n_concat, n_steps)
-        i_sample = nn.affine(self._affine("tier1.combine"), f_sample) + conditioning
+        # Sample tier: the combine layer over concatenated embeddings is a
+        # sum of one table lookup per slot (see `_sample_tables`).
+        i_sample = conditioning
+        i_sample += self.params["tier1.combine.b"]
+        for j, table in enumerate(self._sample_tables()):
+            i_sample += nn.embed(table, levels[:, j : j + n_steps])
         z_hidden = nn.affine(self._affine("tier1.ff1"), i_sample)
         a_hidden = _relu(z_hidden)
         logits = nn.affine(self._affine("tier1.ff2"), a_hidden)
         cache["tiers"][0] = {
-            "f": f_sample,
             "i": i_sample,
             "z_hidden": z_hidden,
             "a_hidden": a_hidden,
@@ -450,12 +508,15 @@ class Hrnn:
         dz = da * (sample["z_hidden"] > 0)
         (dw, db), di = nn.affine_backward(self._affine("tier1.ff1"), sample["i"], dz)
         grads["tier1.ff1.w"], grads["tier1.ff1.b"] = dw, db
-        (dw, db), df = nn.affine_backward(self._affine("tier1.combine"), sample["f"], di)
+        # The forward never formed the concatenated embeddings f; gather
+        # them again from the cached levels for the combine weights.
+        levels = cache["levels"]
+        f_sample = _frame_inputs(nn.embed(self._embedding(), levels), 1, cfg.tiers[0].n_concat, n_steps)
+        (dw, db), df = nn.affine_backward(self._affine("tier1.combine"), f_sample, di)
         grads["tier1.combine.w"], grads["tier1.combine.b"] = dw, db
         d_conditioning = di  # i = combine(f) + conditioning
 
         # Concatenated embeddings: overlap-add the frame slots back.
-        levels = cache["levels"]
         embed_dim = cfg.embed_dim
         d_vectors = np.zeros((levels.shape[0], levels.shape[1], embed_dim), dtype=df.dtype)
         for j in range(cfg.tiers[0].n_concat):
@@ -482,54 +543,22 @@ class Hrnn:
 # SRNN
 # ---------------------------------------------------------------------------
 
-class Srnn:
+class Srnn(_Model):
     """Sample-level stack: embedding, two LSTM layers, two FF layers."""
 
-    def __init__(self, cfg: SrnnConfig, rng: np.random.Generator | int | None = None, dtype=np.float32):
-        self.cfg = cfg
-        self.dtype = np.dtype(dtype)
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.params: dict[str, np.ndarray] = {}
-        table = nn.EmbeddingTable.create(cfg.embed_dim, rng, self.dtype)
-        self.params["embed.table"] = table.table
+    def _layout(self) -> dict:
+        cfg = self.cfg
+        layout = _embed_layout(cfg.embed_dim)
         n_in = cfg.embed_dim
-        for i in range(cfg.n_lstm_layers):
-            p = nn.LstmParams.create(cfg.hidden, n_in, rng, self.dtype)
-            self.params[f"lstm{i + 1}.wx"] = p.input_weights
-            self.params[f"lstm{i + 1}.wh"] = p.recurrent_weights
-            self.params[f"lstm{i + 1}.b"] = p.biases
+        for i in range(1, cfg.n_lstm_layers + 1):
+            layout.update(_lstm_layout(f"lstm{i}", cfg.hidden, n_in))
             n_in = cfg.hidden
-        ff1 = nn.AffineParams.create(cfg.hidden, cfg.hidden, rng, self.dtype)
-        ff2 = nn.AffineParams.create(cfg.vocab, cfg.hidden, rng, self.dtype)
-        self.params["ff1.w"], self.params["ff1.b"] = ff1.weight, ff1.bias
-        self.params["ff2.w"], self.params["ff2.b"] = ff2.weight, ff2.bias
+        layout.update(_affine_layout("ff1", cfg.hidden, cfg.hidden))
+        layout.update(_affine_layout("ff2", cfg.vocab, cfg.hidden))
+        return layout
 
-    def _lstm(self, i: int) -> nn.LstmParams:
-        return nn.LstmParams(
-            self.params[f"lstm{i}.wx"], self.params[f"lstm{i}.wh"], self.params[f"lstm{i}.b"]
-        )
-
-    def _affine(self, prefix: str) -> nn.AffineParams:
-        return nn.AffineParams(self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
-
-    def init_state(self, batch_size: int) -> dict:
-        state = {}
-        for i in range(1, self.cfg.n_lstm_layers + 1):
-            zeros = np.zeros((batch_size, self.cfg.hidden), dtype=self.dtype)
-            state[i] = (zeros, zeros.copy())
-        return state
-
-    def load_params(self, values: dict):
-        unknown = set(values) - set(self.params)
-        missing = set(self.params) - set(values)
-        if unknown or missing:
-            raise ValueError(f"parameter name mismatch: unknown={sorted(unknown)}, missing={sorted(missing)}")
-        for name, value in values.items():
-            if value.shape != self.params[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {value.shape} vs {self.params[name].shape}"
-                )
-            self.params[name][...] = value.astype(self.dtype)
+    def _lstm_prefixes(self) -> dict:
+        return {i: f"lstm{i}" for i in range(1, self.cfg.n_lstm_layers + 1)}
 
     def forward(self, levels: np.ndarray, conditions=None, state: dict | None = None):
         if conditions is not None:
@@ -539,12 +568,12 @@ class Srnn:
             raise ValueError("levels must be [batch, time]")
         state = state if state is not None else self.init_state(levels.shape[0])
         state_out = {}
-        x = nn.embed(nn.EmbeddingTable(self.params["embed.table"]), levels).astype(self.dtype)
+        x = nn.embed(self._embedding(), levels).astype(self.dtype)
         cache = {"levels": levels, "lstm": {}, "x": x}
         h = x
         for i in range(1, self.cfg.n_lstm_layers + 1):
             h0, c0 = state[i]
-            h, (h_last, c_last), lstm_cache = nn.lstm_forward(self._lstm(i), h, h0, c0)
+            h, (h_last, c_last), lstm_cache = nn.lstm_forward(self._lstm(f"lstm{i}"), h, h0, c0)
             state_out[i] = (h_last, c_last)
             cache["lstm"][i] = lstm_cache
         z = nn.affine(self._affine("ff1"), h)
@@ -562,18 +591,16 @@ class Srnn:
         (dw, db), dh = nn.affine_backward(self._affine("ff1"), cache["lstm"][self.cfg.n_lstm_layers].h, dz)
         grads["ff1.w"], grads["ff1.b"] = dw, db
         for i in range(self.cfg.n_lstm_layers, 0, -1):
-            (dwx, dwh, dbs), dh, _, _ = nn.lstm_backward(self._lstm(i), cache["lstm"][i], dh)
+            (dwx, dwh, dbs), dh, _, _ = nn.lstm_backward(self._lstm(f"lstm{i}"), cache["lstm"][i], dh)
             grads[f"lstm{i}.wx"], grads[f"lstm{i}.wh"], grads[f"lstm{i}.b"] = dwx, dwh, dbs
-        grads["embed.table"] = nn.embed_backward(
-            nn.EmbeddingTable(self.params["embed.table"]), cache["levels"], dh
-        )
+        grads["embed.table"] = nn.embed_backward(self._embedding(), cache["levels"], dh)
         return grads
 
 
-def build_model(cfg: ModelConfig, rng=None, dtype=np.float32):
-    if isinstance(cfg, SrnnConfig):
-        return Srnn(cfg, rng, dtype)
-    return Hrnn(cfg, rng, dtype)
+def build_model(cfg: ModelConfig, rng=None, dtype=np.float32, params: dict | None = None):
+    """Srnn or Hrnn for cfg: drawn from rng, or adopting `params` (see `_Model`)."""
+    model_cls = Srnn if isinstance(cfg, SrnnConfig) else Hrnn
+    return model_cls(cfg, rng, dtype, params)
 
 
 # ---------------------------------------------------------------------------

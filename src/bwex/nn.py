@@ -76,17 +76,23 @@ class LstmParams:
 
     @classmethod
     def create(cls, hidden: int, n_in: int, rng: np.random.Generator, dtype=np.float32):
-        biases = np.zeros(4 * hidden, dtype=dtype)
-        biases[hidden : 2 * hidden] = 1.0  # forget-gate bias: training stability
         return cls(
             init_uniform((4 * hidden, n_in), n_in, rng, dtype),
             init_uniform((4 * hidden, hidden), hidden, rng, dtype),
-            biases,
+            lstm_biases(hidden, dtype),
         )
 
     @property
     def hidden(self) -> int:
         return self.recurrent_weights.shape[1]
+
+
+def lstm_biases(hidden: int, dtype=np.float32) -> np.ndarray:
+    """Initial packed biases: zero except the forget gate's, which is 1
+    for training stability."""
+    biases = np.zeros(4 * hidden, dtype=dtype)
+    biases[hidden : 2 * hidden] = 1.0
+    return biases
 
 
 def _split_gates(z, hidden):

@@ -11,12 +11,11 @@ import dataclasses
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
 from . import nn
-from .data import batch_iter, make_batch, tbptt_chunks
+from .data import _atomic_write, batch_iter, make_batch, tbptt_chunks
 from .models import ModelConfig, build_model
 
 
@@ -61,14 +60,12 @@ class EpochStats:
 class Checkpoint:
     """Named parameter tensors plus the config text that built them.
 
-    metadata records at least the stopping epoch and best validation CE;
-    opt_params optionally carries Adam moment tensors.
+    metadata records at least the stopping epoch and best validation CE.
     """
 
     config_text: str
     params: dict
     metadata: dict = dataclasses.field(default_factory=dict)
-    opt_params: dict | None = None
     version: int = 1
 
 
@@ -178,16 +175,12 @@ def validate(model, pairs, batch_size: int = 8):
 
 _CKPT_MAGIC = b"BWEH"
 _CKPT_VERSION = 1
-_OPT_PREFIX = "opt."
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
     blob = ckpt.config_text
     for key, value in sorted(ckpt.metadata.items()):
         blob += f"\nmeta.{key} = {value}"
-    tensors = dict(ckpt.params)
-    if ckpt.opt_params:
-        tensors.update({_OPT_PREFIX + k: v for k, v in ckpt.opt_params.items()})
 
     def write(handle):
         handle.write(_CKPT_MAGIC)
@@ -195,8 +188,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
         encoded = blob.encode("utf-8")
         handle.write(struct.pack("<I", len(encoded)))
         handle.write(encoded)
-        handle.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors.items():
+        handle.write(struct.pack("<I", len(ckpt.params)))
+        for name, tensor in ckpt.params.items():
             tensor = np.ascontiguousarray(tensor, dtype="<f4")
             if tensor.ndim < 1 or tensor.ndim > 3:
                 raise CheckpointError(f"tensor {name!r} has unsupported rank {tensor.ndim}")
@@ -207,29 +200,32 @@ def save_checkpoint(path, ckpt: Checkpoint):
             handle.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
             handle.write(tensor.tobytes())
 
-    path_dir = os.path.dirname(str(path)) or "."
-    fd, tmp_name = tempfile.mkstemp(dir=path_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            write(handle)
-        os.replace(tmp_name, str(path))
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    _atomic_write(path, write)
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
+    """Sequential reads from an open checkpoint file.
+
+    Every read is checked against the bytes the file has left before it
+    happens, so a truncated file, or dims that claim more data than the
+    file holds, raise before anything is allocated.
+    """
+
+    def __init__(self, handle, path):
+        self.handle = handle
         self.path = path
-        self.pos = 0
+        self.remaining = os.fstat(handle.fileno()).st_size
+
+    def _claim(self, n: int):
+        if n > self.remaining:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.remaining -= n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        self._claim(n)
+        out = self.handle.read(n)
+        if len(out) != n:
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
         return out
 
     def u32(self) -> int:
@@ -238,16 +234,45 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
+    def text(self) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: invalid UTF-8 text ({exc.reason})") from exc
+
+    def tensor(self, dims) -> np.ndarray:
+        """Read float32 data straight into a fresh array of shape dims."""
+        self._claim(4 * math.prod(dims))
+        out = np.empty(dims, dtype="<f4")
+        view = memoryview(out).cast("B")
+        if self.handle.readinto(view) != len(view):
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        return out
+
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as handle:
-        reader = _Reader(handle.read(), path)
-    if reader.take(4) != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = reader.u32()
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    blob = reader.take(reader.u32()).decode("utf-8")
+        reader = _Reader(handle, path)
+        if reader.take(4) != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        version = reader.u32()
+        if version != _CKPT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        blob = reader.text()
+        params: dict[str, np.ndarray] = {}
+        for _ in range(reader.u32()):
+            name = reader.text()
+            rank = reader.u8()
+            if rank < 1 or rank > 3:
+                raise CheckpointError(f"{path}: tensor {name!r} has unsupported rank {rank}")
+            dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
+            if name in params:
+                raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
+            params[name] = reader.tensor(dims)
+        if reader.remaining:
+            raise CheckpointError(f"{path}: {reader.remaining} trailing bytes")
     config_lines, metadata = [], {}
     for line in blob.splitlines():
         stripped = line.strip()
@@ -256,29 +281,9 @@ def load_checkpoint(path) -> Checkpoint:
             metadata[key.strip()[len("meta.") :]] = value.strip()
         else:
             config_lines.append(line)
-    params: dict[str, np.ndarray] = {}
-    opt_params: dict[str, np.ndarray] = {}
-    n_tensors = reader.u32()
-    for _ in range(n_tensors):
-        name = reader.take(reader.u32()).decode("utf-8")
-        rank = reader.u8()
-        if rank < 1 or rank > 3:
-            raise CheckpointError(f"{path}: tensor {name!r} has unsupported rank {rank}")
-        dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        n_values = int(np.prod(dims))
-        data = np.frombuffer(reader.take(4 * n_values), dtype="<f4").reshape(dims).copy()
-        if name in params or name in opt_params:
-            raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
-        if name.startswith(_OPT_PREFIX):
-            opt_params[name[len(_OPT_PREFIX) :]] = data
-        else:
-            params[name] = data
-    if reader.pos != len(reader.blob):
-        raise CheckpointError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
     return Checkpoint(
         config_text="\n".join(config_lines).strip("\n"),
         params=params,
         metadata=metadata,
-        opt_params=opt_params or None,
         version=version,
     )

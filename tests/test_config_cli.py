@@ -233,6 +233,73 @@ class TestCliExtendAndEval:
         assert "a" in err and "b" in err
 
 
+def tiny_checkpoint(path, kind="hrnn"):
+    """A random-init checkpoint for a tiny model of the given kind."""
+    from bwex.models import build_model
+    from bwex.train import Checkpoint, save_checkpoint
+
+    text = f"model.kind = {kind}\nmodel.hidden = 8\nmodel.embed_dim = 4\n"
+    model = build_model(build_run_config(text).model_cfg, rng=0)
+    save_checkpoint(path, Checkpoint(config_text=text, params=model.params))
+    return path
+
+
+def assert_data_error(capsys, argv):
+    """Exit 2 with a one-line `data error:` message and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestCliDataErrors:
+    def test_extend_empty_wav(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path / "m.bweh")
+        save_wav(tmp_path / "empty.wav", Waveform(np.zeros(0), 8000))
+        out = tmp_path / "o.wav"
+        assert_data_error(capsys, ["extend", "--model", str(ckpt), "--in", str(tmp_path / "empty.wav"), "--out", str(out)])
+        assert not out.exists()
+
+    def test_extend_conditional_input_shorter_than_one_window(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path / "m.bweh", kind="chrnn")
+        save_wav(tmp_path / "short.wav", synth_narrowband(100))
+        argv = ["extend", "--model", str(ckpt), "--in", str(tmp_path / "short.wav"), "--out", str(tmp_path / "o.wav")]
+        assert_data_error(capsys, argv)
+
+    @pytest.mark.parametrize("n_ref, n_deg", [(3000, 4000), (300, 300)])
+    def test_eval_length_mismatch_or_shorter_than_one_frame(self, tmp_path, capsys, n_ref, n_deg):
+        ref_dir, deg_dir = tmp_path / "ref", tmp_path / "deg"
+        ref_dir.mkdir()
+        deg_dir.mkdir()
+        save_wav(ref_dir / "a.wav", synth_wideband(n_ref))
+        save_wav(deg_dir / "a.wav", synth_wideband(n_deg))
+        report = tmp_path / "r.csv"
+        assert_data_error(capsys, ["eval", "--ref", str(ref_dir), "--deg", str(deg_dir), "--report", str(report)])
+        assert not report.exists()
+
+    def test_features_shorter_than_one_frame(self, tmp_path, capsys):
+        save_wav(tmp_path / "short.wav", synth_narrowband(100))  # 12.5 ms < one 25 ms frame
+        out = tmp_path / "f.bwef"
+        assert_data_error(capsys, ["features", "--in", str(tmp_path / "short.wav"), "--out", str(out)])
+        assert not out.exists()
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        save_wav(tmp_path / "nb.wav", synth_narrowband(400))
+        argv = ["extend", "--model", str(tmp_path), "--in", str(tmp_path / "nb.wav"), "--out", str(tmp_path / "o.wav")]
+        assert_data_error(capsys, argv)  # a directory where a file belongs
+
+    def test_checkpoint_tensors_not_matching_config(self, tmp_path, capsys):
+        from bwex.train import load_checkpoint, save_checkpoint
+
+        ckpt_path = tiny_checkpoint(tmp_path / "m.bweh")
+        ckpt = load_checkpoint(ckpt_path)
+        del ckpt.params["tier1.ff2.b"]
+        save_checkpoint(ckpt_path, ckpt)
+        save_wav(tmp_path / "nb.wav", synth_narrowband(400))
+        argv = ["extend", "--model", str(ckpt_path), "--in", str(tmp_path / "nb.wav"), "--out", str(tmp_path / "o.wav")]
+        assert_data_error(capsys, argv)
+
+
 class TestCliFeatures:
     def test_one_second_gives_98x39(self, tmp_path, capsys):
         nb_path = tmp_path / "nb.wav"

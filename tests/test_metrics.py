@@ -32,6 +32,10 @@ class TestSnr:
         w = noise_wave()
         assert snr(w, w) == 120.0
 
+    def test_silent_reference_floored(self):
+        silent = Waveform(np.zeros(1000), 16000)
+        assert snr(silent, noise_wave(1000)) == -120.0
+
     def test_known_noise_power(self):
         rng = np.random.default_rng(1)
         ref = noise_wave(seed=2)

@@ -241,6 +241,42 @@ class TestHrnnForward:
             model.forward(np.zeros((1, 30), dtype=int))
 
 
+class TestFoldedSampleTier:
+    """The sample tier's pre-activation, computed as one table lookup per
+    concatenation slot, against the explicit combine(frame(embed(levels)))."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("n_concat", [1, 4])
+    def test_matches_explicit_combine(self, dtype, rtol, n_concat):
+        cfg = tiny_cfg(n_concat=(2, 2, n_concat), hidden=16, embed_dim=8)
+        model = Hrnn(cfg, rng=23, dtype=dtype)
+        model.params["tier1.combine.b"][...] = np.random.default_rng(24).uniform(-1, 1, 16)
+        n_steps = 64
+        levels = np.random.default_rng(25).integers(0, 256, (3, n_steps + cfg.lookahead))
+        _, cache, _ = model.forward(levels)
+
+        vectors = model.params["embed.table"][levels]
+        f = np.concatenate([vectors[:, j : j + n_steps] for j in range(n_concat)], axis=2)
+        combined = nn.affine(nn.AffineParams(model.params["tier1.combine.w"], model.params["tier1.combine.b"]), f)
+        conditioning = conditioning_fanout(
+            cache["tiers"][1]["h"], model.params["tier2.fanout.w"], model.params["tier2.fanout.b"]
+        )
+        got = cache["tiers"][0]["i"]
+        assert got.dtype == dtype and got.shape == (3, n_steps, 16)
+        expected = combined + conditioning
+        # Entries that cancel to near zero get the tolerance of the largest one.
+        np.testing.assert_allclose(got, expected, rtol=rtol, atol=rtol * np.abs(expected).max())
+
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_out_of_range_level_rejected(self, bad):
+        cfg = tiny_cfg()
+        model = Hrnn(cfg, rng=26)
+        levels = np.full((1, 32 + cfg.lookahead), 128)
+        levels[0, 5] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            model.forward(levels)
+
+
 class TestSrnn:
     def test_causality(self):
         model = Srnn(SrnnConfig(embed_dim=4, hidden=8), rng=0)
@@ -423,6 +459,24 @@ class TestBuildAndLoad:
         a, _, _ = model.forward(padded[None])
         b, _, _ = other.forward(padded[None])
         np.testing.assert_array_equal(a, b)
+
+    def test_load_params_copies_into_existing_arrays(self):
+        model = Hrnn(tiny_cfg(), rng=22)
+        before = dict(model.params)
+        source = {k: v.astype(np.float64) + 1.0 for k, v in Hrnn(tiny_cfg(), rng=23).params.items()}
+        model.load_params(source)
+        for name, value in model.params.items():
+            assert value is before[name] and value.dtype == np.float32
+            assert not np.shares_memory(value, source[name])
+            np.testing.assert_array_equal(value, source[name].astype(np.float32))
+
+    def test_adopted_params_are_checked(self):
+        params = Hrnn(tiny_cfg(), rng=24).params
+        with pytest.raises(ValueError, match="missing"):
+            build_model(tiny_cfg(), params={k: v for k, v in params.items() if k != "embed.table"})
+        bad = dict(params, **{"embed.table": np.zeros((256, 5), np.float32)})
+        with pytest.raises(ValueError, match="shape mismatch"):
+            build_model(tiny_cfg(), params=bad)
 
     def test_load_params_validates_names(self):
         model = Hrnn(tiny_cfg(), rng=21)

@@ -2,14 +2,19 @@
 validation purity, and the checkpoint file format."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
-from bwex import nn
+from bwex import dsp, nn
+from bwex.cli import main
+from bwex.config import model_from_checkpoint, serialize_config
+from bwex.data import load_wav, save_wav
 from bwex.data import build_pair, make_batch
 from bwex.dsp import Waveform
-from bwex.models import HrnnConfig, build_model
+from bwex.metrics import reconstruct_wideband
+from bwex.models import HrnnConfig, SrnnConfig, build_model, generate
 from bwex.train import (
     Checkpoint,
     CheckpointError,
@@ -185,14 +190,6 @@ class TestCheckpointIo:
         b, _, _ = other.forward(levels)
         np.testing.assert_array_equal(a, b)
 
-    def test_optimizer_state_roundtrip(self, tmp_path):
-        ckpt, _ = self.make_checkpoint()
-        ckpt.opt_params = {"m.x": np.ones((2, 2), np.float32)}
-        path = tmp_path / "o.bweh"
-        save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.opt_params["m.x"], np.ones((2, 2)))
-
     def test_corrupt_magic_rejected(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "c.bweh"
@@ -220,6 +217,138 @@ class TestCheckpointIo:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def test_file_format_is_pinned(self, tmp_path):
+        # Built byte by byte from the format description, not by save_checkpoint.
+        a = np.arange(6, dtype="<f4").reshape(2, 3) - 2.5
+        b = np.array([1.5], dtype="<f4")
+        blob = b"model.kind = srnn\nmeta.epoch = 2"
+        raw = b"BWEH" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 2)
+        raw += struct.pack("<I", 2) + b"ab" + struct.pack("<BII", 2, 2, 3) + a.tobytes()
+        raw += struct.pack("<I", 1) + b"b" + struct.pack("<BI", 1, 1) + b.tobytes()
+        path = tmp_path / "golden.bweh"
+        path.write_bytes(raw)
+        loaded = load_checkpoint(path)
+        assert loaded.config_text == "model.kind = srnn"
+        assert loaded.metadata == {"epoch": "2"}
+        assert list(loaded.params) == ["ab", "b"]
+        assert loaded.params["ab"].tobytes() == a.tobytes() and loaded.params["ab"].shape == (2, 3)
+        assert loaded.params["b"].tobytes() == b.tobytes()
+        save_checkpoint(tmp_path / "again.bweh", loaded)
+        assert (tmp_path / "again.bweh").read_bytes() == raw
+
+    @staticmethod
+    def field_boundaries(raw: bytes):
+        """Offsets where each header field, name, dims and tensor ends,
+        plus one cut inside every tensor's data."""
+        cuts = [4, 8, 12]
+        pos = 12 + struct.unpack_from("<I", raw, 8)[0]
+        cuts += [pos, pos + 4]
+        n_tensors = struct.unpack_from("<I", raw, pos)[0]
+        pos += 4
+        records = []
+        for _ in range(n_tensors):
+            start = pos
+            name_len = struct.unpack_from("<I", raw, pos)[0]
+            pos += 4
+            cuts.append(pos)
+            pos += name_len
+            cuts.append(pos)
+            rank = raw[pos]
+            pos += 1
+            cuts.append(pos)
+            n_values = int(np.prod(struct.unpack_from(f"<{rank}I", raw, pos)))
+            pos += 4 * rank
+            cuts.append(pos)
+            cuts.append(pos + 2 * n_values)  # mid-tensor, off a float boundary when odd
+            pos += 4 * n_values
+            cuts.append(pos)
+            records.append((start, pos))
+        assert pos == len(raw)
+        return sorted(set(cuts) - {len(raw)}), records
+
+    def test_every_truncation_rejected_and_cli_exits_2(self, tmp_path, capsys):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "t.bweh"
+        save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        cuts, _ = self.field_boundaries(raw)
+        nb = tmp_path / "nb.wav"
+        save_wav(nb, Waveform(np.zeros(160), 8000))
+        for cut in [0, 2, *cuts, len(raw) - 1]:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(path)
+            assert main(["extend", "--model", str(path), "--in", str(nb), "--out", str(tmp_path / "o.wav")]) == 2
+            assert capsys.readouterr().err.startswith("data error:")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "x.bweh"
+        save_checkpoint(path, ckpt)
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        with pytest.raises(CheckpointError, match="3 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "d.bweh"
+        save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        _, records = self.field_boundaries(raw)
+        start, end = records[-1]
+        count_at = 12 + struct.unpack_from("<I", raw, 8)[0]
+        count = struct.unpack_from("<I", raw, count_at)[0]
+        doubled = raw[:count_at] + struct.pack("<I", count + 1) + raw[count_at + 4 :] + raw[start:end]
+        path.write_bytes(doubled)
+        with pytest.raises(CheckpointError, match="duplicate tensor name"):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_are_aligned_owned_float32(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "a.bweh"
+        save_checkpoint(path, ckpt)
+        for value in load_checkpoint(path).params.values():
+            assert value.dtype == np.float32
+            assert value.flags.aligned and value.flags.c_contiguous
+            assert value.flags.writeable and value.flags.owndata
+
+    @pytest.mark.parametrize("model_cfg", [HrnnConfig.build(hidden=8, embed_dim=4), SrnnConfig(embed_dim=3, hidden=5)])
+    def test_model_from_checkpoint_adopts_arrays_without_random_draw(self, tmp_path, monkeypatch, model_cfg):
+        model = build_model(model_cfg, rng=np.random.default_rng(4))
+        path = tmp_path / "m.bweh"
+        save_checkpoint(path, Checkpoint(serialize_config(TrainConfig(model=model_cfg)), model.params))
+        ckpt = load_checkpoint(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("model_from_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(nn, "init_uniform", no_draw)
+        rebuilt, _ = model_from_checkpoint(ckpt)
+        assert type(rebuilt) is type(model)
+        assert rebuilt.params.keys() == ckpt.params.keys()
+        for name, value in ckpt.params.items():
+            assert rebuilt.params[name] is value
+
+    def test_extend_round_trip_matches_load_params_model(self, tmp_path):
+        cfg = HrnnConfig.build(hidden=8, embed_dim=4)
+        source = build_model(cfg, rng=np.random.default_rng(6))
+        ckpt_path = tmp_path / "m.bweh"
+        save_checkpoint(ckpt_path, Checkpoint(serialize_config(TrainConfig(model=cfg)), source.params))
+        nb_path = tmp_path / "nb.wav"
+        rng = np.random.default_rng(7)
+        save_wav(nb_path, Waveform(0.3 * np.sin(np.arange(900) * 0.2) + 0.05 * rng.standard_normal(900), 8000))
+        out = tmp_path / "out.wav"
+        assert main(["extend", "--model", str(ckpt_path), "--in", str(nb_path), "--out", str(out)]) == 0
+
+        filled = build_model(cfg, rng=np.random.default_rng(8))
+        filled.load_params(source.params)
+        narrowband = load_wav(nb_path)
+        generated = generate(filled, dsp.mulaw_encode(dsp.upsample2(narrowband)))
+        expected = tmp_path / "expected.wav"
+        save_wav(expected, reconstruct_wideband(narrowband, generated, strategy=cfg.strategy, hf_gain=cfg.hf_gain))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_unknown_tensor_name_rejected_on_load_params(self):
         ckpt, model = self.make_checkpoint()
