@@ -45,7 +45,9 @@ def load_wav(path) -> Waveform:
             rate = reader.getframerate()
             n_frames = reader.getnframes()
             payload = reader.readframes(n_frames)
-    except (wave.Error, EOFError) as exc:
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # the stdlib reader raises RuntimeError when a chunk header claims
+        # more bytes than the file holds
         raise DataError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     if n_channels != 1:
         raise DataError(f"{path}: expected mono audio, found {n_channels} channels")
