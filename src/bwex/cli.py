@@ -26,12 +26,22 @@ NARROWBAND_RATE = 8000
 WIDEBAND_RATE = 16000
 
 
-def _set_threads(n: int | None):
-    if n is None:
-        env = os.environ.get("BWE_THREADS")
-        if env is None:
+def _set_threads(raw: str | None):
+    """Pin the BLAS thread pools to `--threads`, else to BWE_THREADS.
+
+    A value that is not a positive integer raises ValueError before any
+    variable is set.
+    """
+    if raw is None:
+        raw = os.environ.get("BWE_THREADS")
+        if raw is None:
             return
-        n = int(env)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"thread count must be a positive integer, got {raw!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(n)
 
@@ -39,7 +49,7 @@ def _set_threads(n: int | None):
 def cmd_train(args) -> int:
     from . import data
     from .config import build_run_config
-    from .train import Checkpoint, save_checkpoint, train
+    from .train import save_checkpoint, train
 
     text = Path(args.config).read_text(encoding="utf-8")
     run_cfg = build_run_config(text)
@@ -51,12 +61,7 @@ def cmd_train(args) -> int:
     train_pairs = data.load_pairs(train_manifest, run_cfg.model_cfg, mfcc_conditions)
     valid_pairs = data.load_pairs(valid_manifest, run_cfg.model_cfg, mfcc_conditions)
     result = train(run_cfg.train_cfg, train_pairs, valid_pairs, config_text=text, log=print)
-    ckpt = Checkpoint(
-        config_text=text,
-        params=result.checkpoint.params,
-        metadata=result.checkpoint.metadata,
-    )
-    save_checkpoint(args.out, ckpt)
+    save_checkpoint(args.out, result.checkpoint)
     print(f"saved best checkpoint (epoch {result.best_epoch}) to {args.out}")
     return EXIT_OK
 
@@ -186,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bwex", description="Speech bandwidth extension by hierarchical recurrent waveform models"
     )
-    parser.add_argument("--threads", type=int, default=None, help="BLAS thread count (1 = deterministic)")
+    parser.add_argument("--threads", default=None, help="BLAS thread count (1 = deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a config file")
@@ -221,7 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _set_threads(args.threads)
+    try:
+        _set_threads(args.threads)
+    except ValueError as exc:
+        # ConfigError's module loads numpy, which must wait for the threads
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     from .config import ConfigError
     from .data import DataError

@@ -17,24 +17,32 @@ class ConfigError(ValueError):
     """Malformed configuration text."""
 
 
-_KNOWN_KEYS = {
+def _ints(raw: str):
+    return tuple(int(part.strip()) for part in raw.split(","))
+
+
+# SrnnConfig's fields are the settings both architectures share.
+_SHARED_FIELDS = dataclasses.fields(SrnnConfig)
+_TRAIN_FIELDS = tuple(f for f in dataclasses.fields(TrainConfig) if f.name != "model")
+
+# section -> key -> converter. The shared model keys and the train keys
+# are dataclass fields, converted to the type of each field's default.
+_CONVERTERS = {
     "model": {
-        "kind",
-        "frame_sizes",
-        "concat",
-        "hidden",
-        "embed_dim",
-        "strategy",
-        "hf_gain",
-        "cond_source",
-        "cond_dim",
-        "cond_frame_shift",
-        "cond_window_ms",
+        "kind": str,
+        "frame_sizes": _ints,
+        "concat": _ints,
+        **{f.name: type(f.default) for f in _SHARED_FIELDS},
+        "cond_source": str,
+        "cond_dim": int,
+        "cond_frame_shift": int,
+        "cond_window_ms": float,
     },
-    "train": {"lr", "batch_size", "max_epochs", "patience", "seed", "clip_norm", "chunk_len"},
-    "data": {"train_manifest", "valid_manifest"},
-    "eval": {"lsd_frame_ms", "lsd_shift_ms"},
+    "train": {f.name: type(f.default) for f in _TRAIN_FIELDS},
+    "data": {"train_manifest": Path, "valid_manifest": Path},
 }
+# chrnn: 39-dim MFCCs at a 10 ms shift (160 samples at 16 kHz)
+_CHRNN_DEFAULTS = {"cond_source": "mfcc", "cond_dim": 39, "cond_frame_shift": 160}
 
 
 @dataclasses.dataclass
@@ -44,9 +52,6 @@ class RunConfig:
     train_manifest: Path | None
     valid_manifest: Path | None
     cond_source: str | None
-    lsd_frame_ms: float
-    lsd_shift_ms: float
-    raw_text: str
 
 
 def parse_config_text(text: str) -> dict:
@@ -66,9 +71,9 @@ def parse_config_text(text: str) -> dict:
         section, _, key = name.partition(".")
         if section == "meta":
             continue  # checkpoint metadata lines are not run configuration
-        if section not in _KNOWN_KEYS:
+        if section not in _CONVERTERS:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
-        if key not in _KNOWN_KEYS[section]:
+        if key not in _CONVERTERS[section]:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
         if (section, key) in values:
             raise ConfigError(f"line {lineno}: duplicate key {section}.{key}")
@@ -78,103 +83,67 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _take(values, section, key, convert, default=None, what="value"):
-    raw = values.pop((section, key), None)
-    if raw is None:
-        return default
-    try:
-        return convert(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {what}") from exc
-
-
-def _int_tuple(raw: str):
-    return tuple(int(part.strip()) for part in raw.split(","))
+def _section(values: dict, section: str) -> dict:
+    """The keys of one section that the text sets, converted."""
+    out = {}
+    for key, convert in _CONVERTERS[section].items():
+        raw = values.get((section, key))
+        if raw is None:
+            continue
+        try:
+            out[key] = convert(raw)
+        except (ValueError, TypeError) as exc:
+            what = "comma-separated ints" if convert is _ints else convert.__name__
+            raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {what}") from exc
+    return out
 
 
 def build_run_config(text: str) -> RunConfig:
-    """Typed RunConfig from config text; all cross-field rules checked."""
+    """Typed RunConfig from config text; all cross-field rules checked.
+
+    Only the keys the text sets reach the config dataclasses, so every
+    unset key takes the dataclass default.
+    """
     values = parse_config_text(text)
-    kind = _take(values, "model", "kind", str, default="hrnn")
+    model = _section(values, "model")
+    data = _section(values, "data")
+    kind = model.pop("kind", "hrnn")
     if kind not in ("srnn", "hrnn", "chrnn"):
         raise ConfigError(f"model.kind must be srnn, hrnn, or chrnn, got {kind!r}")
-    hidden = _take(values, "model", "hidden", int, default=1024, what="int")
-    embed_dim = _take(values, "model", "embed_dim", int, default=256, what="int")
-    strategy = _take(values, "model", "strategy", str, default="hf")
-    hf_gain = _take(values, "model", "hf_gain", float, default=4.0, what="float")
-    frame_sizes = _take(values, "model", "frame_sizes", _int_tuple, what="comma-separated ints")
-    concat = _take(values, "model", "concat", _int_tuple, what="comma-separated ints")
-    cond_source = _take(values, "model", "cond_source", str)
-    cond_dim = _take(values, "model", "cond_dim", int, what="int")
-    cond_frame_shift = _take(values, "model", "cond_frame_shift", int, what="int")
-    cond_window_ms = _take(values, "model", "cond_window_ms", float, what="float")
+    cond = {key: model.pop(key) for key in list(model) if key.startswith("cond_")}
+    if cond.keys() - {"cond_window_ms"} and kind != "chrnn":  # srnn/hrnn ignore a window
+        raise ConfigError(f"model.cond_* keys require model.kind = chrnn, got {kind}")
+    if "concat" in model:
+        model["n_concat"] = model.pop("concat")
 
+    cond_source = None
     try:
         if kind == "srnn":
-            if frame_sizes is not None or concat is not None:
+            if "frame_sizes" in model or "n_concat" in model:
                 raise ConfigError("model.frame_sizes/concat do not apply to srnn")
-            if cond_source or cond_dim or cond_frame_shift:
-                raise ConfigError("srnn takes no conditions")
-            model_cfg: ModelConfig = SrnnConfig(
-                embed_dim=embed_dim, hidden=hidden, strategy=strategy, hf_gain=hf_gain
-            )
+            model_cfg: ModelConfig = SrnnConfig(**model)
+        elif kind == "hrnn":
+            model_cfg = HrnnConfig.build(**model)
         else:
-            frame_sizes = frame_sizes or (16, 4)
-            concat = concat or (2,) * len(frame_sizes) + (frame_sizes[-1],)
-            if kind == "chrnn":
-                cond_source = cond_source or "mfcc"
-                if cond_source not in ("mfcc", "file"):
-                    raise ConfigError(f"model.cond_source must be mfcc or file, got {cond_source!r}")
-                cond_dim = cond_dim or 39
-                cond_frame_shift = cond_frame_shift or 160
-                if cond_window_ms is None and cond_source == "mfcc":
-                    cond_window_ms = 25.0
-            else:
-                if cond_source or cond_dim or cond_frame_shift:
-                    raise ConfigError("model.cond_* keys require model.kind = chrnn")
-                cond_source = None
-                cond_dim = cond_frame_shift = None
-                cond_window_ms = None
-            model_cfg = HrnnConfig.build(
-                frame_sizes=frame_sizes,
-                n_concat=concat,
-                hidden=hidden,
-                embed_dim=embed_dim,
-                strategy=strategy,
-                hf_gain=hf_gain,
-                cond_frame_shift=cond_frame_shift if kind == "chrnn" else None,
-                cond_dim=cond_dim if kind == "chrnn" else None,
-                cond_window_ms=cond_window_ms,
-            )
-        train_cfg = TrainConfig(
-            model=model_cfg,
-            lr=_take(values, "train", "lr", float, default=0.001, what="float"),
-            batch_size=_take(values, "train", "batch_size", int, default=8, what="int"),
-            max_epochs=_take(values, "train", "max_epochs", int, default=50, what="int"),
-            patience=_take(values, "train", "patience", int, default=5, what="int"),
-            seed=_take(values, "train", "seed", int, default=0, what="int"),
-            clip_norm=_take(values, "train", "clip_norm", float, default=5.0, what="float"),
-            chunk_len=_take(values, "train", "chunk_len", int, default=480, what="int"),
-        )
+            cond = {**_CHRNN_DEFAULTS, **cond}
+            cond_source = cond.pop("cond_source")
+            if cond_source not in ("mfcc", "file"):
+                raise ConfigError(f"model.cond_source must be mfcc or file, got {cond_source!r}")
+            if cond_source == "mfcc":
+                cond.setdefault("cond_window_ms", 25.0)  # the MFCC analysis window
+            model_cfg = HrnnConfig.build(**model, **cond)
+        train_cfg = TrainConfig(model=model_cfg, **_section(values, "train"))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    train_manifest = _take(values, "data", "train_manifest", Path)
-    valid_manifest = _take(values, "data", "valid_manifest", Path)
-    lsd_frame_ms = _take(values, "eval", "lsd_frame_ms", float, default=32.0, what="float")
-    lsd_shift_ms = _take(values, "eval", "lsd_shift_ms", float, default=16.0, what="float")
-    assert not values  # parse_config_text rejected everything unknown
     return RunConfig(
         model_cfg=model_cfg,
         train_cfg=train_cfg,
-        train_manifest=train_manifest,
-        valid_manifest=valid_manifest,
-        cond_source=cond_source if kind == "chrnn" else None,
-        lsd_frame_ms=lsd_frame_ms,
-        lsd_shift_ms=lsd_shift_ms,
-        raw_text=text,
+        train_manifest=data.get("train_manifest"),
+        valid_manifest=data.get("valid_manifest"),
+        cond_source=cond_source,
     )
 
 
@@ -204,17 +173,8 @@ def serialize_config(
             lines.append(f"model.cond_frame_shift = {model.tiers[-1].frame_size}")
             if model.cond_window_ms is not None:
                 lines.append(f"model.cond_window_ms = {model.cond_window_ms}")
-    lines.append(f"model.hidden = {model.hidden}")
-    lines.append(f"model.embed_dim = {model.embed_dim}")
-    lines.append(f"model.strategy = {model.strategy}")
-    lines.append(f"model.hf_gain = {model.hf_gain}")
-    lines.append(f"train.lr = {train_cfg.lr}")
-    lines.append(f"train.batch_size = {train_cfg.batch_size}")
-    lines.append(f"train.max_epochs = {train_cfg.max_epochs}")
-    lines.append(f"train.patience = {train_cfg.patience}")
-    lines.append(f"train.seed = {train_cfg.seed}")
-    lines.append(f"train.clip_norm = {train_cfg.clip_norm}")
-    lines.append(f"train.chunk_len = {train_cfg.chunk_len}")
+    lines.extend(f"model.{f.name} = {getattr(model, f.name)}" for f in _SHARED_FIELDS)
+    lines.extend(f"train.{f.name} = {getattr(train_cfg, f.name)}" for f in _TRAIN_FIELDS)
     if train_manifest is not None:
         lines.append(f"data.train_manifest = {train_manifest}")
     if valid_manifest is not None:

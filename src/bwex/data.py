@@ -145,7 +145,7 @@ class CorpusManifest:
     split: str = "train"
 
 
-def load_manifest(path, split: str = "train", check_paths: bool = True) -> CorpusManifest:
+def load_manifest(path, split: str = "train") -> CorpusManifest:
     entries = []
     seen = set()
     base = Path(path).parent
@@ -162,11 +162,10 @@ def load_manifest(path, split: str = "train", check_paths: bool = True) -> Corpu
         seen.add(utt_id)
         wav_path = _resolve(base, fields[1])
         feature_path = _resolve(base, fields[2]) if len(fields) == 3 else None
-        if check_paths:
-            if not wav_path.exists():
-                raise DataError(f"{path}:{lineno}: missing wav file {wav_path}")
-            if feature_path is not None and not feature_path.exists():
-                raise DataError(f"{path}:{lineno}: missing feature file {feature_path}")
+        if not wav_path.exists():
+            raise DataError(f"{path}:{lineno}: missing wav file {wav_path}")
+        if feature_path is not None and not feature_path.exists():
+            raise DataError(f"{path}:{lineno}: missing feature file {feature_path}")
         entries.append(ManifestEntry(utt_id, wav_path, feature_path))
     return CorpusManifest(tuple(entries), split)
 
@@ -351,8 +350,6 @@ class TbpttChunk:
     targets: np.ndarray       # [B, chunk_steps]
     mask: np.ndarray          # [B, chunk_steps]
     conditions: np.ndarray | None
-    reset_state: bool         # true on the first chunk of an utterance set
-    start: int                # offset of this chunk on the batch time axis
 
 
 def tbptt_chunks(batch: PaddedBatch, chunk_len: int, model_cfg: ModelConfig):
@@ -380,8 +377,6 @@ def tbptt_chunks(batch: PaddedBatch, chunk_len: int, model_cfg: ModelConfig):
                 targets=batch.targets[:, start:stop],
                 mask=batch.mask[:, start:stop],
                 conditions=conditions,
-                reset_state=start == 0,
-                start=start,
             )
         )
     return chunks

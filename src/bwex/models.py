@@ -28,6 +28,7 @@ from . import nn
 from .dsp import ConditionTrack, QuantizedWaveform, decode_levels
 
 PAD_LEVEL = 128  # mu-law level of zero amplitude
+SRNN_LSTM_LAYERS = 2  # recurrent depth of the sample-level model
 
 _TIER_KINDS = ("sample", "intermediate", "top", "conditional")
 
@@ -39,14 +40,11 @@ class TierSpec:
     frame_size: samples covered by one step of this tier.
     n_concat: consecutive frames concatenated into each step input; values
         above 1 let the tier see that many frames of lookahead.
-    width: LSTM units (frame tiers) or FF units (sample tier); None uses
-        the model-wide hidden size.
     """
 
     frame_size: int
     n_concat: int = 1
     kind: str = "intermediate"
-    width: int | None = None
 
     def __post_init__(self):
         if self.kind not in _TIER_KINDS:
@@ -57,22 +55,31 @@ class TierSpec:
             raise ValueError("sample tier must have frame_size 1")
 
 
-@dataclasses.dataclass(frozen=True)
-class SrnnConfig:
-    """Plain sample-level model: embed -> 2 LSTM layers -> 2 FF layers."""
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class _SharedConfig:
+    """Widths and mapping strategy, declared once for both architectures.
 
-    embed_dim: int = 256
+    Every layer is `hidden` units wide; levels embed into `embed_dim`
+    dimensions. With strategy "hf" the target is the high-frequency
+    residual amplified by `hf_gain`.
+    """
+
     hidden: int = 1024
-    n_lstm_layers: int = 2
-    vocab: int = 256
+    embed_dim: int = 256
     strategy: str = "hf"
     hf_gain: float = 4.0
 
     def __post_init__(self):
         if self.strategy not in ("wb", "hf"):
             raise ValueError(f"strategy must be 'wb' or 'hf', got {self.strategy!r}")
-        if self.vocab != 256:
-            raise ValueError("vocab is fixed at 256 (mu-law alphabet)")
+        for name in ("hidden", "embed_dim", "hf_gain"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+
+@dataclasses.dataclass(frozen=True)
+class SrnnConfig(_SharedConfig):
+    """Plain sample-level model: embed -> 2 LSTM layers -> 2 FF layers."""
 
     # SRNN consumes raw sequences: no length constraints, no lookahead.
     @property
@@ -85,7 +92,7 @@ class SrnnConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class HrnnConfig:
+class HrnnConfig(_SharedConfig):
     """Tier stack ordered bottom (sample) to top, plus global widths.
 
     The default factory `build()` reproduces the reference system:
@@ -94,19 +101,11 @@ class HrnnConfig:
     """
 
     tiers: tuple[TierSpec, ...]
-    embed_dim: int = 256
-    hidden: int = 1024
-    vocab: int = 256
-    strategy: str = "hf"
-    hf_gain: float = 4.0
     cond_dim: int | None = None
     cond_window_ms: float | None = None
 
     def __post_init__(self):
-        if self.strategy not in ("wb", "hf"):
-            raise ValueError(f"strategy must be 'wb' or 'hf', got {self.strategy!r}")
-        if self.vocab != 256:
-            raise ValueError("vocab is fixed at 256 (mu-law alphabet)")
+        super().__post_init__()
         tiers = tuple(self.tiers)
         if len(tiers) < 2:
             raise ValueError("need at least a sample tier and one frame tier")
@@ -125,7 +124,7 @@ class HrnnConfig:
                 )
         if tiers[-1].kind == "conditional":
             if self.cond_dim is None or self.cond_dim < 1:
-                raise ValueError("a conditional tier requires cond_dim")
+                raise ValueError(f"a conditional tier requires cond_dim >= 1, got {self.cond_dim}")
             if tiers[-1].n_concat != 1:
                 raise ValueError("the conditional tier consumes one feature frame per step")
         object.__setattr__(self, "tiers", tiers)
@@ -134,22 +133,22 @@ class HrnnConfig:
     def build(
         cls,
         frame_sizes: tuple[int, ...] = (16, 4),
-        n_concat: tuple[int, ...] = (2, 2, 4),
-        hidden: int = 1024,
-        embed_dim: int = 256,
-        strategy: str = "hf",
-        hf_gain: float = 4.0,
+        n_concat: tuple[int, ...] | None = None,
         cond_frame_shift: int | None = None,
-        cond_dim: int | None = None,
-        cond_window_ms: float | None = None,
+        **fields,
     ) -> "HrnnConfig":
         """Assemble a config from top-down frame sizes.
 
         frame_sizes lists the waveform frame tiers top-down (the implied
         sample tier is appended); n_concat pairs with frame_sizes plus one
-        trailing entry for the sample tier. Passing cond_frame_shift adds
-        a conditional tier above everything, stepping at that frame shift.
+        trailing entry for the sample tier. By default each frame tier
+        concatenates two frames and the sample tier one lowest-tier frame
+        of embeddings (frame_sizes[-1] of them). Passing cond_frame_shift
+        adds a conditional tier above everything, stepping at that frame
+        shift. Other keywords are fields of the config.
         """
+        if n_concat is None:
+            n_concat = (2,) * len(frame_sizes) + (frame_sizes[-1],)
         if len(n_concat) != len(frame_sizes) + 1:
             raise ValueError("n_concat needs one entry per frame tier plus the sample tier")
         tiers = [TierSpec(1, n_concat[-1], kind="sample")]
@@ -159,18 +158,7 @@ class HrnnConfig:
             tiers.append(TierSpec(cond_frame_shift, 1, kind="conditional"))
         else:
             tiers[-1] = dataclasses.replace(tiers[-1], kind="top")
-        return cls(
-            tiers=tuple(tiers),
-            embed_dim=embed_dim,
-            hidden=hidden,
-            strategy=strategy,
-            hf_gain=hf_gain,
-            cond_dim=cond_dim,
-            cond_window_ms=cond_window_ms,
-        )
-
-    def tier_width(self, index: int) -> int:
-        return self.tiers[index].width or self.hidden
+        return cls(tiers=tuple(tiers), **fields)
 
     @property
     def conditional(self) -> bool:
@@ -379,14 +367,14 @@ class Hrnn(_Model):
 
     def _layout(self) -> dict:
         cfg = self.cfg
+        width = cfg.hidden
         layout = _embed_layout(cfg.embed_dim)
         for k, tier in enumerate(cfg.tiers):
             name = f"tier{k + 1}"
-            width = cfg.tier_width(k)
             if tier.kind == "sample":
                 layout.update(_affine_layout(f"{name}.combine", width, tier.n_concat * cfg.embed_dim))
                 layout.update(_affine_layout(f"{name}.ff1", width, width))
-                layout.update(_affine_layout(f"{name}.ff2", cfg.vocab, width))
+                layout.update(_affine_layout(f"{name}.ff2", nn.N_LEVELS, width))
                 continue
             if tier.kind == "conditional":
                 n_in = cfg.cond_dim
@@ -397,9 +385,8 @@ class Hrnn(_Model):
                 n_in = width
             layout.update(_lstm_layout(f"{name}.lstm", width, n_in))
             ratio = tier.frame_size // cfg.tiers[k - 1].frame_size
-            below = cfg.tier_width(k - 1)
-            layout[f"{name}.fanout.w"] = ((ratio, below, width), _uniform(width))
-            layout[f"{name}.fanout.b"] = ((ratio, below), _zeros)
+            layout[f"{name}.fanout.w"] = ((ratio, width, width), _uniform(width))
+            layout[f"{name}.fanout.b"] = ((ratio, width), _zeros)
         return layout
 
     def _lstm_prefixes(self) -> dict:
@@ -550,15 +537,15 @@ class Srnn(_Model):
         cfg = self.cfg
         layout = _embed_layout(cfg.embed_dim)
         n_in = cfg.embed_dim
-        for i in range(1, cfg.n_lstm_layers + 1):
+        for i in range(1, SRNN_LSTM_LAYERS + 1):
             layout.update(_lstm_layout(f"lstm{i}", cfg.hidden, n_in))
             n_in = cfg.hidden
         layout.update(_affine_layout("ff1", cfg.hidden, cfg.hidden))
-        layout.update(_affine_layout("ff2", cfg.vocab, cfg.hidden))
+        layout.update(_affine_layout("ff2", nn.N_LEVELS, cfg.hidden))
         return layout
 
     def _lstm_prefixes(self) -> dict:
-        return {i: f"lstm{i}" for i in range(1, self.cfg.n_lstm_layers + 1)}
+        return {i: f"lstm{i}" for i in range(1, SRNN_LSTM_LAYERS + 1)}
 
     def forward(self, levels: np.ndarray, conditions=None, state: dict | None = None):
         if conditions is not None:
@@ -571,7 +558,7 @@ class Srnn(_Model):
         x = nn.embed(self._embedding(), levels).astype(self.dtype)
         cache = {"levels": levels, "lstm": {}, "x": x}
         h = x
-        for i in range(1, self.cfg.n_lstm_layers + 1):
+        for i in range(1, SRNN_LSTM_LAYERS + 1):
             h0, c0 = state[i]
             h, (h_last, c_last), lstm_cache = nn.lstm_forward(self._lstm(f"lstm{i}"), h, h0, c0)
             state_out[i] = (h_last, c_last)
@@ -588,9 +575,9 @@ class Srnn(_Model):
         (dw, db), da = nn.affine_backward(self._affine("ff2"), cache["a"], dlogits)
         grads["ff2.w"], grads["ff2.b"] = dw, db
         dz = da * (cache["z"] > 0)
-        (dw, db), dh = nn.affine_backward(self._affine("ff1"), cache["lstm"][self.cfg.n_lstm_layers].h, dz)
+        (dw, db), dh = nn.affine_backward(self._affine("ff1"), cache["lstm"][SRNN_LSTM_LAYERS].h, dz)
         grads["ff1.w"], grads["ff1.b"] = dw, db
-        for i in range(self.cfg.n_lstm_layers, 0, -1):
+        for i in range(SRNN_LSTM_LAYERS, 0, -1):
             (dwx, dwh, dbs), dh, _, _ = nn.lstm_backward(self._lstm(f"lstm{i}"), cache["lstm"][i], dh)
             grads[f"lstm{i}.wx"], grads[f"lstm{i}.wh"], grads[f"lstm{i}.b"] = dwx, dwh, dbs
         grads["embed.table"] = nn.embed_backward(self._embedding(), cache["levels"], dh)

@@ -66,7 +66,6 @@ class Checkpoint:
     config_text: str
     params: dict
     metadata: dict = dataclasses.field(default_factory=dict)
-    version: int = 1
 
 
 @dataclasses.dataclass
@@ -285,5 +284,4 @@ def load_checkpoint(path) -> Checkpoint:
         config_text="\n".join(config_lines).strip("\n"),
         params=params,
         metadata=metadata,
-        version=version,
     )

@@ -1,6 +1,7 @@
 """Config-text parsing/serialization and the command-line contract
 (subcommands, exit codes, deterministic outputs)."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -76,6 +77,17 @@ class TestConfigText:
         assert cfg.train_cfg.lr == 0.001
         assert cfg.train_cfg.batch_size == 8
 
+    @pytest.mark.parametrize("kind", ["srnn", "hrnn", "chrnn"])
+    def test_unset_keys_take_the_dataclass_defaults(self, kind):
+        cfg = build_run_config(f"model.kind = {kind}")
+        expected = {
+            "srnn": SrnnConfig(),
+            "hrnn": HrnnConfig.build(),
+            "chrnn": HrnnConfig.build(cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0),
+        }[kind]
+        assert cfg.model_cfg == expected
+        assert cfg.train_cfg == TrainConfig(model=cfg.model_cfg)
+
     def test_build_srnn(self):
         cfg = build_run_config("model.kind = srnn\nmodel.hidden = 16\nmodel.embed_dim = 8")
         assert isinstance(cfg.model_cfg, SrnnConfig)
@@ -99,10 +111,7 @@ class TestConfigText:
             build_run_config("train.lr = fast")
 
     def test_serialize_roundtrip(self):
-        train_cfg = TrainConfig(
-            model=HrnnConfig.build(hidden=8, embed_dim=4, strategy="wb"),
-            lr=0.003, batch_size=2, max_epochs=4, patience=4, seed=9,
-        )
+        train_cfg = non_default_train_config(HrnnConfig.build(hidden=8, embed_dim=4, strategy="wb", hf_gain=2.0))
         text = serialize_config(train_cfg)
         back = build_run_config(text)
         assert back.model_cfg == train_cfg.model
@@ -112,10 +121,21 @@ class TestConfigText:
         model = HrnnConfig.build(
             hidden=8, embed_dim=4, cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0
         )
-        train_cfg = TrainConfig(model=model, max_epochs=3, patience=3)
+        train_cfg = non_default_train_config(model)
         back = build_run_config(serialize_config(train_cfg, cond_source="mfcc"))
         assert back.model_cfg == model
+        assert back.train_cfg == train_cfg
         assert back.cond_source == "mfcc"
+
+
+def non_default_train_config(model):
+    """A TrainConfig whose every field differs from its default."""
+    cfg = TrainConfig(
+        model=model, lr=0.003, batch_size=2, max_epochs=4, patience=3, seed=9, clip_norm=2.5, chunk_len=160
+    )
+    for field in dataclasses.fields(TrainConfig):
+        assert getattr(cfg, field.name) != field.default, field.name
+    return cfg
 
 
 @pytest.fixture()
@@ -158,6 +178,31 @@ class TestCliTrain:
         config.write_text("model.hidden = 8\nmodel.hidden = 9\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "x.bweh")]) == 1
         assert "model.hidden" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "model.hidden = -1",
+            "model.hidden = 0",
+            "model.embed_dim = 0",
+            "model.strategy = hf\nmodel.hf_gain = 0.5",
+            "model.kind = chrnn\nmodel.cond_dim = 0",
+            "model.kind = chrnn\nmodel.cond_frame_shift = 0",
+        ],
+    )
+    def test_bad_model_size_exits_1(self, toy_corpus, capsys, lines):
+        tmp_path, config, _ = toy_corpus
+        text = config.read_text()
+        for line in lines.splitlines():
+            key = line.split("=")[0].strip()
+            kept = [old for old in text.splitlines() if old.split("=")[0].strip() != key]
+            text = "\n".join(kept + [line]) + "\n"
+        config.write_text(text)
+        out = tmp_path / "x.bweh"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCliExtendAndEval:
@@ -368,6 +413,31 @@ def test_threads_pinned_before_numpy_loads(tmp_path):
         "assert 'numpy' in sys.modules and os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_is_a_config_error(tmp_path, how, value):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("model.kind = hrnn\n")
+    argv = ["--threads", value] if how == "flag" else []
+    script = (
+        "import contextlib, io, os, sys\n"
+        "import bwex.cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = bwex.cli.main({argv + ['latency', '--config', str(cfg)]!r})\n"
+        "assert code == 1, code\n"
+        "assert err.getvalue().startswith('config error: ') and err.getvalue().count('\\n') == 1, err.getvalue()\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "BWE_THREADS"}
+    if how == "env":
+        env["BWE_THREADS"] = value
     env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
