@@ -187,8 +187,20 @@ def cmd_latency(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects; exits 1 like any config error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints the usage and exits 2, the data-error code; raise
+    # instead so `main` reports one `config error:` line. Subparsers are
+    # built from this class too.
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bwex", description="Speech bandwidth extension by hierarchical recurrent waveform models"
     )
     parser.add_argument("--threads", default=None, help="BLAS thread count (1 = deterministic)")
@@ -225,10 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _set_threads(args.threads)
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         # ConfigError's module loads numpy, which must wait for the threads
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

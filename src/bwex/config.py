@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from .models import HrnnConfig, ModelConfig, SrnnConfig
+from .models import FieldError, HrnnConfig, ModelConfig, SrnnConfig
 from .train import Checkpoint, CheckpointError, TrainConfig
 
 
@@ -117,6 +117,7 @@ def build_run_config(text: str) -> RunConfig:
         model["n_concat"] = model.pop("concat")
 
     cond_source = None
+    section = "model"  # whose dataclass a FieldError comes from
     try:
         if kind == "srnn":
             if "frame_sizes" in model or "n_concat" in model:
@@ -132,7 +133,11 @@ def build_run_config(text: str) -> RunConfig:
             if cond_source == "mfcc":
                 cond.setdefault("cond_window_ms", 25.0)  # the MFCC analysis window
             model_cfg = HrnnConfig.build(**model, **cond)
+        section = "train"
         train_cfg = TrainConfig(model=model_cfg, **_section(values, "train"))
+    except FieldError as exc:
+        key = "concat" if exc.field == "n_concat" else exc.field
+        raise ConfigError(f"{section}.{key} {exc.rule}") from exc
     except ConfigError:
         raise
     except ValueError as exc:

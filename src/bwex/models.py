@@ -33,6 +33,16 @@ SRNN_LSTM_LAYERS = 2  # recurrent depth of the sample-level model
 _TIER_KINDS = ("sample", "intermediate", "top", "conditional")
 
 
+class FieldError(ValueError):
+    """A config field out of range. `field` names it and `rule` says what
+    it broke, so a config reader can name its own key for the field."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
+
+
 @dataclasses.dataclass(frozen=True)
 class TierSpec:
     """One resolution level of the hierarchy.
@@ -71,10 +81,10 @@ class _SharedConfig:
 
     def __post_init__(self):
         if self.strategy not in ("wb", "hf"):
-            raise ValueError(f"strategy must be 'wb' or 'hf', got {self.strategy!r}")
+            raise FieldError("strategy", f"must be 'wb' or 'hf', got {self.strategy!r}")
         for name in ("hidden", "embed_dim", "hf_gain"):
             if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,15 +126,16 @@ class HrnnConfig(_SharedConfig):
         if any(t.kind == "conditional" for t in tiers[:-1]):
             raise ValueError("a conditional tier may only sit at the top")
         for lower, upper in zip(tiers[:-1], tiers[1:]):
+            # named by the build() argument that sets the upper frame size
+            field = "cond_frame_shift" if upper.kind == "conditional" else "frame_sizes"
+            above = f"puts frame size {upper.frame_size} above {lower.frame_size}"
             if upper.frame_size <= lower.frame_size:
-                raise ValueError("frame sizes must strictly increase up the stack")
+                raise FieldError(field, f"{above}; frame sizes must strictly increase up the stack")
             if upper.frame_size % lower.frame_size != 0:
-                raise ValueError(
-                    f"frame size {upper.frame_size} not divisible by {lower.frame_size}"
-                )
+                raise FieldError(field, f"{above}, which does not divide it")
         if tiers[-1].kind == "conditional":
             if self.cond_dim is None or self.cond_dim < 1:
-                raise ValueError(f"a conditional tier requires cond_dim >= 1, got {self.cond_dim}")
+                raise FieldError("cond_dim", f"must be >= 1 for a conditional tier, got {self.cond_dim}")
             if tiers[-1].n_concat != 1:
                 raise ValueError("the conditional tier consumes one feature frame per step")
         object.__setattr__(self, "tiers", tiers)
@@ -147,10 +158,16 @@ class HrnnConfig(_SharedConfig):
         adds a conditional tier above everything, stepping at that frame
         shift. Other keywords are fields of the config.
         """
+        if any(size < 1 for size in frame_sizes):
+            raise FieldError("frame_sizes", f"must all be >= 1, got {frame_sizes}")
         if n_concat is None:
             n_concat = (2,) * len(frame_sizes) + (frame_sizes[-1],)
         if len(n_concat) != len(frame_sizes) + 1:
-            raise ValueError("n_concat needs one entry per frame tier plus the sample tier")
+            raise FieldError("n_concat", "needs one entry per frame tier plus the sample tier")
+        if any(concat < 1 for concat in n_concat):
+            raise FieldError("n_concat", f"must all be >= 1, got {n_concat}")
+        if cond_frame_shift is not None and cond_frame_shift < 1:
+            raise FieldError("cond_frame_shift", f"must be >= 1, got {cond_frame_shift}")
         tiers = [TierSpec(1, n_concat[-1], kind="sample")]
         for size, concat in zip(reversed(frame_sizes), reversed(n_concat[:-1])):
             tiers.append(TierSpec(size, concat, kind="intermediate"))

@@ -137,9 +137,12 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
     c_seq = np.empty_like(h_seq)
     gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
     tanh_c = np.empty_like(h_seq)
+    weights = p.recurrent_weights
     h, c = h0, c0
     for t in range(steps):
-        z = h @ p.recurrent_weights.T
+        # Weight on the left: OpenBLAS runs this product 2-3x faster than
+        # h @ W.T at 2 <= B <= 8, and identically at B = 1.
+        z = (weights @ h.T).T
         z += x_proj[:, t]
         # One logistic pass over all four packed gates (expit saturates
         # without overflow), then tanh overwrites the cell slot from z.
@@ -160,23 +163,41 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
     Returns (dparams: LstmParams-shaped tuple, dx, dh0, dc0).
     """
     batch, steps, hidden = cache.h.shape
+    # Every gate derivative is (dc or dh) times a factor of the cached
+    # forward alone, so the factors are computed for the whole sequence
+    # before the loop: dz_seq holds them, the loop scales them in place.
+    gi, gf, gg, go = _split_gates(cache.gates, hidden)
+    tc = cache.tanh_c
     dz_seq = np.empty_like(cache.gates)
+    dzi, dzf, dzg, dzo = _split_gates(dz_seq, hidden)
+    np.subtract(1.0, gi, out=dzi)  # gg gi (1 - gi)
+    dzi *= gi
+    dzi *= gg
+    np.subtract(1.0, gf, out=dzf)  # c_prev gf (1 - gf)
+    dzf *= gf
+    dzf[:, 0] *= cache.c0
+    dzf[:, 1:] *= cache.c[:, :-1]
+    np.multiply(gg, gg, out=dzg)  # gi (1 - gg^2)
+    np.subtract(1.0, dzg, out=dzg)
+    dzg *= gi
+    np.subtract(1.0, go, out=dzo)  # tc go (1 - go)
+    dzo *= go
+    dzo *= tc
+    dh_to_dc = np.multiply(tc, tc)  # go (1 - tc^2)
+    np.subtract(1.0, dh_to_dc, out=dh_to_dc)
+    dh_to_dc *= go
+    dz_cell = dz_seq.reshape(batch, steps, 4, hidden)[:, :, :3]  # the i, f, g slots
+    weights = p.recurrent_weights
     dh_next = np.zeros((batch, hidden), dtype=dh_seq.dtype)
     dc_next = np.zeros_like(dh_next)
     for t in range(steps - 1, -1, -1):
-        gi, gf, gg, go = _split_gates(cache.gates[:, t], hidden)
-        tc = cache.tanh_c[:, t]
-        c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
         dh = dh_seq[:, t] + dh_next
-        dc = dh * go * (1.0 - tc * tc) + dc_next
-        dz = dz_seq[:, t]
-        dzi, dzf, dzg, dzo = _split_gates(dz, hidden)
-        dzo[...] = dh * tc * go * (1.0 - go)
-        dzi[...] = dc * gg * gi * (1.0 - gi)
-        dzf[...] = dc * c_prev * gf * (1.0 - gf)
-        dzg[...] = dc * gi * (1.0 - gg * gg)
-        dh_next = dz @ p.recurrent_weights
-        dc_next = dc * gf
+        dc = dh * dh_to_dc[:, t]
+        dc += dc_next
+        dz_cell[:, t] *= dc[:, None]
+        dzo[:, t] *= dh
+        dh_next = dz_seq[:, t] @ weights
+        dc_next = dc * gf[:, t]
     dz2 = dz_seq.reshape(-1, 4 * hidden)
     d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
     h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)

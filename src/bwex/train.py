@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import _atomic_write, batch_iter, make_batch, tbptt_chunks
-from .models import ModelConfig, build_model
+from .models import FieldError, ModelConfig, build_model
 
 
 class NumericError(RuntimeError):
@@ -40,12 +40,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+            raise FieldError("lr", f"must be >= 0, got {self.lr}")
         for field in ("batch_size", "max_epochs", "patience", "clip_norm", "chunk_len"):
             if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
+                raise FieldError(field, f"must be positive, got {getattr(self, field)}")
         if self.patience > self.max_epochs:
-            raise ValueError("patience must not exceed max_epochs")
+            raise FieldError("patience", f"must not exceed max_epochs ({self.max_epochs}), got {self.patience}")
 
 
 @dataclasses.dataclass

@@ -443,6 +443,60 @@ def test_bad_thread_count_is_a_config_error(tmp_path, how, value):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["extend", "--in", "x.wav"], "the following arguments are required: --model, --out"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["latency", "--config", "m.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["missing-options", "unknown-subcommand", "unknown-option"],
+)
+def test_usage_error_is_a_one_line_config_error(argv, expected):
+    script = (
+        "import contextlib, io, sys\n"
+        "import bwex.cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = bwex.cli.main({argv!r})\n"
+        "assert code == 1, code\n"
+        "assert err.getvalue().startswith('config error: ') and err.getvalue().count('\\n') == 1, err.getvalue()\n"
+        f"assert {expected!r} in err.getvalue(), err.getvalue()\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["extend", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: bwex" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model.hidden = 0", "model.hidden must be >= 1, got 0"),
+        ("model.embed_dim = 0", "model.embed_dim must be >= 1, got 0"),
+        ("model.hf_gain = 0.5", "model.hf_gain must be >= 1, got 0.5"),
+        ("model.frame_sizes = 16,0", "model.frame_sizes must all be >= 1, got (16, 0)"),
+        ("model.concat = 2,0,4", "model.concat must all be >= 1, got (2, 0, 4)"),
+        ("model.kind = chrnn\nmodel.cond_frame_shift = 0", "model.cond_frame_shift must be >= 1, got 0"),
+    ],
+    ids=["hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift"],
+)
+def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["latency", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_package_root_resolves_names_and_train_is_the_submodule():
     import bwex.train
 

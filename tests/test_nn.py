@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from bwex.nn import (
     AdamState,
@@ -183,6 +184,119 @@ class TestLstm:
                 lm = run(x, h0, c0)[0]
                 flat[i] = orig
                 np.testing.assert_allclose(gflat[i], (lp - lm) / (2 * h), atol=1e-6)
+
+
+def _reference_lstm_forward(p, x, h0, c0):
+    """The per-step loop lstm_forward ran before its recurrent product took
+    the weight as the left operand: gates from h @ W.T, then the cell."""
+    hidden = p.hidden
+    x_proj = x @ p.input_weights.T + p.biases
+    h_seq = np.empty(x.shape[:2] + (hidden,), dtype=x.dtype)
+    c_seq = np.empty_like(h_seq)
+    h, c = h0, c0
+    for t in range(x.shape[1]):
+        z = h @ p.recurrent_weights.T
+        z += x_proj[:, t]
+        g = expit(z)
+        g[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        gi, gf, gg, go = np.split(g, 4, axis=-1)
+        c = gf * c + gi * gg
+        h = go * np.tanh(c)
+        h_seq[:, t], c_seq[:, t] = h, c
+    return h_seq, c_seq
+
+
+def _reference_lstm_backward(p, cache, dh_seq):
+    """The per-step BPTT formulas, every gate derivative formed in the loop."""
+    batch, steps, hidden = cache.h.shape
+    dz_seq = np.empty_like(cache.gates)
+    dh_next = np.zeros((batch, hidden), dtype=dh_seq.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for t in range(steps - 1, -1, -1):
+        gi, gf, gg, go = np.split(cache.gates[:, t], 4, axis=-1)
+        tc = cache.tanh_c[:, t]
+        c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
+        dh = dh_seq[:, t] + dh_next
+        dc = dh * go * (1.0 - tc * tc) + dc_next
+        dz_seq[:, t] = np.concatenate(
+            [
+                dc * gg * gi * (1.0 - gi),
+                dc * c_prev * gf * (1.0 - gf),
+                dc * gi * (1.0 - gg * gg),
+                dh * tc * go * (1.0 - go),
+            ],
+            axis=-1,
+        )
+        dh_next = dz_seq[:, t] @ p.recurrent_weights
+        dc_next = dc * gf
+    dz2 = dz_seq.reshape(-1, 4 * hidden)
+    h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)
+    d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
+    d_recur_w = dz2.T @ h_prev_seq.reshape(-1, hidden)
+    return (d_input_w, d_recur_w, dz2.sum(axis=0)), dz_seq @ p.input_weights, dh_next, dc_next
+
+
+def _dyadic(rng, shape, dtype, denom=8):
+    return (rng.integers(-denom, denom + 1, shape) / denom).astype(dtype)
+
+
+class TestLstmKernels:
+    """The step loops against the former per-step formulas."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 8])
+    def test_forward_equals_former_loop_bit_for_bit(self, batch, dtype):
+        rng = np.random.default_rng(batch)
+        hidden, n_in, steps = 16, 5, 12
+        p = LstmParams(
+            _dyadic(rng, (4 * hidden, n_in), dtype),
+            _dyadic(rng, (4 * hidden, hidden), dtype, denom=16),
+            _dyadic(rng, 4 * hidden, dtype),
+        )
+        x = _dyadic(rng, (batch, steps, n_in), dtype, denom=4)
+        h0 = _dyadic(rng, (batch, hidden), dtype)
+        c0 = _dyadic(rng, (batch, hidden), dtype)
+        h_seq, (h_last, c_last), cache = lstm_forward(p, x, h0, c0)
+        ref_h, ref_c = _reference_lstm_forward(p, x, h0, c0)
+        np.testing.assert_array_equal(h_seq, ref_h)
+        np.testing.assert_array_equal(cache.c, ref_c)
+        np.testing.assert_array_equal(h_last, ref_h[:, -1])
+        np.testing.assert_array_equal(c_last, ref_c[:, -1])
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("hidden", [1, 8])
+    @pytest.mark.parametrize("batch", [1, 3, 4])
+    def test_backward_matches_former_formulas(self, batch, hidden, dtype, rtol):
+        rng = np.random.default_rng(10 * batch + hidden)
+        n_in, steps = 3, 7
+        p = LstmParams.create(hidden, n_in, rng, dtype=dtype)
+        x = rng.standard_normal((batch, steps, n_in)).astype(dtype)
+        h0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        c0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        dh_seq = rng.standard_normal((batch, steps, hidden)).astype(dtype)
+        _, _, cache = lstm_forward(p, x, h0, c0)
+        got = lstm_backward(p, cache, dh_seq)
+        want = _reference_lstm_backward(p, cache, dh_seq)
+        got_flat = [*got[0], *got[1:]]
+        want_flat = [*want[0], *want[1:]]
+        names = ["dWx", "dWh", "db", "dx", "dh0", "dc0"]
+        for name, g, w in zip(names, got_flat, want_flat):
+            assert g.shape == w.shape and g.dtype == w.dtype, name
+            # entries that cancel to near zero keep an absolute error of
+            # rounding in the largest entry, not a relative one
+            atol = rtol * float(np.abs(w).max())
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=name)
+
+    def test_backward_leaves_the_cache_unmodified(self):
+        rng = np.random.default_rng(3)
+        p = LstmParams.create(8, 3, rng, dtype=np.float32)
+        x = rng.standard_normal((4, 6, 3)).astype(np.float32)
+        zeros = np.zeros((4, 8), np.float32)
+        _, _, cache = lstm_forward(p, x, zeros, zeros)
+        before = {name: getattr(cache, name).copy() for name in ("gates", "c", "tanh_c")}
+        lstm_backward(p, cache, rng.standard_normal((4, 6, 8)).astype(np.float32))
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
 
 
 class TestEmbedding:
