@@ -244,6 +244,8 @@ def main(argv=None) -> int:
         # ConfigError's module loads numpy, which must wait for the threads
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SystemExit as exc:  # --help prints the usage and exits 0
+        return exc.code
 
     from .config import ConfigError
     from .data import DataError

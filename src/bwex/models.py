@@ -14,8 +14,11 @@ distribution over output levels at every sample:
   optional conditional tier on top consumes frame-level feature tracks
   (e.g. MFCCs) instead of waveform frames.
 
-Both models are non-autoregressive: one forward pass yields logits for
-every output position, and generation is a deterministic argmax.
+Both models are non-autoregressive: every input is the known narrowband
+waveform, so generation is a deterministic argmax over logits. `generate`
+runs the forward in fixed-length chunks that carry each LSTM's state into
+the next, which bounds its memory and gives the same levels as one pass
+over the whole utterance.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from . import nn
 from .dsp import ConditionTrack, QuantizedWaveform, decode_levels
 
 PAD_LEVEL = 128  # mu-law level of zero amplitude
+GENERATE_CHUNK = 2048  # output samples per forward pass of `generate` (128 ms)
 SRNN_LSTM_LAYERS = 2  # recurrent depth of the sample-level model
 
 _TIER_KINDS = ("sample", "intermediate", "top", "conditional")
@@ -282,10 +286,6 @@ def _fanout_backward(d_out: np.ndarray, h: np.ndarray, weights: np.ndarray):
     return d_weights, d_biases, dh
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Parameter core shared by both architectures
 # ---------------------------------------------------------------------------
@@ -425,12 +425,20 @@ class Hrnn(_Model):
             for j in range(self.cfg.tiers[0].n_concat)
         ]
 
-    def forward(self, levels: np.ndarray, conditions: np.ndarray | None = None, state: dict | None = None):
+    def forward(
+        self,
+        levels: np.ndarray,
+        conditions: np.ndarray | None = None,
+        state: dict | None = None,
+        cache: bool = True,
+    ):
         """Run the hierarchy over a padded batch.
 
         levels [B, n_steps + lookahead] ints; conditions [B, >=n_frames, d]
         when the top tier is conditional. Returns (logits [B, n_steps, 256],
         cache, state_out); recurrent states carry across consecutive calls.
+        With `cache=False` (inference) no activations are kept for
+        `backward` and the cache is None.
         """
         cfg = self.cfg
         levels = np.asarray(levels)
@@ -446,7 +454,7 @@ class Hrnn(_Model):
         state = state if state is not None else self.init_state(batch)
         state_out = {}
         amplitudes = decode_levels(levels).astype(self.dtype)
-        cache = {"levels": levels, "amplitudes": amplitudes, "n_steps": n_steps, "tiers": {}}
+        tier_caches = {}
 
         conditioning = None
         for k in range(len(cfg.tiers) - 1, 0, -1):
@@ -466,22 +474,20 @@ class Hrnn(_Model):
                 x_k = conditions[:, :steps_k]
             else:
                 x_k = _frame_inputs(amplitudes, tier.frame_size, tier.n_concat, steps_k)
-            tier_cache = {"x": x_k}
             if tier.kind == "intermediate":
-                combined = nn.affine(self._affine(f"{name}.combine"), x_k)
-                lstm_in = combined + conditioning
-                tier_cache["lstm_in"] = lstm_in
+                lstm_in = nn.affine(self._affine(f"{name}.combine"), x_k)
+                lstm_in += conditioning
             else:
                 lstm_in = x_k
             h0, c0 = state[k]
-            h_seq, (h_last, c_last), lstm_cache = nn.lstm_forward(self._lstm(f"{name}.lstm"), lstm_in, h0, c0)
-            state_out[k] = (h_last, c_last)
+            h_seq, state_out[k], lstm_cache = nn.lstm_forward(
+                self._lstm(f"{name}.lstm"), lstm_in, h0, c0, cache=cache
+            )
             conditioning = conditioning_fanout(
                 h_seq, self.params[f"{name}.fanout.w"], self.params[f"{name}.fanout.b"]
             )
-            tier_cache["lstm"] = lstm_cache
-            tier_cache["h"] = h_seq
-            cache["tiers"][k] = tier_cache
+            if cache:
+                tier_caches[k] = {"x": x_k, "lstm_in": lstm_in, "lstm": lstm_cache, "h": h_seq}
 
         # Sample tier: the combine layer over concatenated embeddings is a
         # sum of one table lookup per slot (see `_sample_tables`).
@@ -489,14 +495,13 @@ class Hrnn(_Model):
         i_sample += self.params["tier1.combine.b"]
         for j, table in enumerate(self._sample_tables()):
             i_sample += nn.embed(table, levels[:, j : j + n_steps])
-        z_hidden = nn.affine(self._affine("tier1.ff1"), i_sample)
-        a_hidden = _relu(z_hidden)
+        a_hidden = nn.affine(self._affine("tier1.ff1"), i_sample)
+        np.maximum(a_hidden, 0.0, out=a_hidden)  # ReLU; backward masks on a > 0, same as z > 0
         logits = nn.affine(self._affine("tier1.ff2"), a_hidden)
-        cache["tiers"][0] = {
-            "i": i_sample,
-            "z_hidden": z_hidden,
-            "a_hidden": a_hidden,
-        }
+        if not cache:
+            return logits, None, state_out
+        tier_caches[0] = {"i": i_sample, "a_hidden": a_hidden}
+        cache = {"levels": levels, "n_steps": n_steps, "tiers": tier_caches}
         return logits, cache, state_out
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
@@ -509,7 +514,7 @@ class Hrnn(_Model):
 
         (dw, db), da = nn.affine_backward(self._affine("tier1.ff2"), sample["a_hidden"], dlogits)
         grads["tier1.ff2.w"], grads["tier1.ff2.b"] = dw, db
-        dz = da * (sample["z_hidden"] > 0)
+        dz = da * (sample["a_hidden"] > 0)
         (dw, db), di = nn.affine_backward(self._affine("tier1.ff1"), sample["i"], dz)
         grads["tier1.ff1.w"], grads["tier1.ff1.b"] = dw, db
         # The forward never formed the concatenated embeddings f; gather
@@ -564,7 +569,8 @@ class Srnn(_Model):
     def _lstm_prefixes(self) -> dict:
         return {i: f"lstm{i}" for i in range(1, SRNN_LSTM_LAYERS + 1)}
 
-    def forward(self, levels: np.ndarray, conditions=None, state: dict | None = None):
+    def forward(self, levels: np.ndarray, conditions=None, state: dict | None = None, cache: bool = True):
+        """As `Hrnn.forward`, over unpadded levels [B, T]."""
         if conditions is not None:
             raise ValueError("SRNN takes no conditions")
         levels = np.asarray(levels)
@@ -573,25 +579,23 @@ class Srnn(_Model):
         state = state if state is not None else self.init_state(levels.shape[0])
         state_out = {}
         x = nn.embed(self._embedding(), levels).astype(self.dtype)
-        cache = {"levels": levels, "lstm": {}, "x": x}
+        lstm_caches = {}
         h = x
         for i in range(1, SRNN_LSTM_LAYERS + 1):
             h0, c0 = state[i]
-            h, (h_last, c_last), lstm_cache = nn.lstm_forward(self._lstm(f"lstm{i}"), h, h0, c0)
-            state_out[i] = (h_last, c_last)
-            cache["lstm"][i] = lstm_cache
-        z = nn.affine(self._affine("ff1"), h)
-        a = _relu(z)
+            h, state_out[i], lstm_caches[i] = nn.lstm_forward(self._lstm(f"lstm{i}"), h, h0, c0, cache=cache)
+        a = nn.affine(self._affine("ff1"), h)
+        np.maximum(a, 0.0, out=a)  # ReLU, as in `Hrnn.forward`
         logits = nn.affine(self._affine("ff2"), a)
-        cache["z"] = z
-        cache["a"] = a
-        return logits, cache, state_out
+        if not cache:
+            return logits, None, state_out
+        return logits, {"levels": levels, "lstm": lstm_caches, "a": a}, state_out
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
         grads = {}
         (dw, db), da = nn.affine_backward(self._affine("ff2"), cache["a"], dlogits)
         grads["ff2.w"], grads["ff2.b"] = dw, db
-        dz = da * (cache["z"] > 0)
+        dz = da * (cache["a"] > 0)
         (dw, db), dh = nn.affine_backward(self._affine("ff1"), cache["lstm"][SRNN_LSTM_LAYERS].h, dz)
         grads["ff1.w"], grads["ff1.b"] = dw, db
         for i in range(SRNN_LSTM_LAYERS, 0, -1):
@@ -612,20 +616,36 @@ def build_model(cfg: ModelConfig, rng=None, dtype=np.float32, params: dict | Non
 # ---------------------------------------------------------------------------
 
 def generate(model, x: QuantizedWaveform, conditions: ConditionTrack | None = None) -> QuantizedWaveform:
-    """Map input levels to output levels: one forward pass, argmax decode.
+    """Map input levels to output levels by argmax decoding.
 
-    Ties resolve to the lowest level; the output is truncated back to the
-    input's length. Purely deterministic.
+    The padded output region is split into near-equal chunks of whole
+    top-tier frames, each at most GENERATE_CHUNK samples unless a single
+    frame is longer. Each chunk runs one inference forward over its input
+    slice plus the lookahead tail, carrying every LSTM state into the
+    next chunk: the slicing of `data.tbptt_chunks`, so the levels equal
+    those of one forward over the whole utterance, and memory does not
+    grow with its length. Ties resolve to the lowest level; the output is
+    truncated back to the input's length. Purely deterministic.
     """
-    padded, valid_len, _ = pad_for_model(x, model.cfg)
-    cond = None
+    cfg = model.cfg
+    padded, valid_len, _ = pad_for_model(x, cfg)
+    multiple = cfg.time_multiple
+    n_frames = (len(padded) - cfg.lookahead) // multiple
+    frames = None
     if conditions is not None:
-        n_frames_needed = (len(padded) - model.cfg.lookahead) // model.cfg.time_multiple
-        frames = align_condition_frames(conditions.frames, n_frames_needed)
-        cond = frames[None]
-    logits, _, _ = model.forward(padded[None], conditions=cond)
-    levels = np.argmax(logits[0], axis=-1)[:valid_len]
-    return QuantizedWaveform(levels.astype(np.int32), x.sample_rate_hz)
+        frames = align_condition_frames(conditions.frames, n_frames)[None]
+    n_chunks = -(-n_frames // max(1, GENERATE_CHUNK // multiple))
+    levels = np.empty(n_frames * multiple, dtype=np.int32)
+    state = None
+    for i in range(n_chunks):
+        start = n_frames * i // n_chunks * multiple
+        stop = n_frames * (i + 1) // n_chunks * multiple
+        cond = None if frames is None else frames[:, start // multiple : stop // multiple]
+        logits, _, state = model.forward(
+            padded[None, start : stop + cfg.lookahead], conditions=cond, state=state, cache=False
+        )
+        levels[start:stop] = np.argmax(logits[0], axis=-1)
+    return QuantizedWaveform(levels[:valid_len], x.sample_rate_hz)
 
 
 def align_condition_frames(frames: np.ndarray, n_needed: int) -> np.ndarray:

@@ -124,21 +124,29 @@ class LstmCache:
     tanh_c: np.ndarray   # [B, T, H]
 
 
-def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
+def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, cache: bool = True):
     """Run the cell over the time axis of x [B, T, n_in].
 
-    Returns (h_seq [B, T, H], (h_last, c_last), cache).
+    Returns (h_seq [B, T, H], (h_last, c_last), cache). Each step works
+    in one reused gate buffer and one cell buffer; only with `cache` does
+    it copy the gates, c and tanh(c) into the [B, T, .] rows that
+    `lstm_backward` reads. Without it the cache is None.
     """
     _check_last_dim("lstm_forward", x, p.input_weights.shape[1])
     batch, steps, _ = x.shape
     hidden = p.hidden
     x_proj = x @ p.input_weights.T + p.biases  # hoisted: one big matmul
     h_seq = np.empty((batch, steps, hidden), dtype=x.dtype)
-    c_seq = np.empty_like(h_seq)
-    gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
-    tanh_c = np.empty_like(h_seq)
+    g = np.empty((batch, 4 * hidden), dtype=x.dtype)
+    gi, gf, gg, go = _split_gates(g, hidden)
+    c = np.array(c0, dtype=x.dtype)
+    tc = np.empty_like(c)
+    if cache:
+        gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
+        c_seq = np.empty_like(h_seq)
+        tanh_c = np.empty_like(h_seq)
     weights = p.recurrent_weights
-    h, c = h0, c0
+    h = h0
     for t in range(steps):
         # Weight on the left: OpenBLAS runs this product 2-3x faster than
         # h @ W.T at 2 <= B <= 8, and identically at B = 1.
@@ -146,14 +154,18 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray):
         z += x_proj[:, t]
         # One logistic pass over all four packed gates (expit saturates
         # without overflow), then tanh overwrites the cell slot from z.
-        g = expit(z, out=gates[:, t])
-        np.tanh(z[:, 2 * hidden : 3 * hidden], out=g[:, 2 * hidden : 3 * hidden])
-        gi, gf, gg, go = _split_gates(g, hidden)
-        c = np.add(gf * c, gi * gg, out=c_seq[:, t])
-        tc = np.tanh(c, out=tanh_c[:, t])
+        expit(z, out=g)
+        np.tanh(z[:, 2 * hidden : 3 * hidden], out=gg)
+        c *= gf
+        c += np.multiply(gi, gg, out=tc)
+        np.tanh(c, out=tc)
         h = np.multiply(go, tc, out=h_seq[:, t])
-    cache = LstmCache(x, h0, c0, h_seq, c_seq, gates, tanh_c)
-    return h_seq, (h_seq[:, -1].copy(), c_seq[:, -1].copy()), cache
+        if cache:
+            gates[:, t] = g
+            c_seq[:, t] = c
+            tanh_c[:, t] = tc
+    lstm_cache = LstmCache(x, h0, c0, h_seq, c_seq, gates, tanh_c) if cache else None
+    return h_seq, (h_seq[:, -1].copy(), c), lstm_cache
 
 
 def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):

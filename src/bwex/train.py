@@ -152,7 +152,7 @@ def validate(model, pairs, batch_size: int = 8):
     pairs = list(pairs)
     for start in range(0, len(pairs), batch_size):
         batch = make_batch(pairs[start : start + batch_size], model.cfg)
-        logits, _, _ = model.forward(batch.inputs, conditions=batch.conditions)
+        logits, _, _ = model.forward(batch.inputs, conditions=batch.conditions, cache=False)
         flat = logits.reshape(-1, logits.shape[-1])
         mask = batch.mask.reshape(-1)
         loss, _ = nn.softmax_ce(flat, batch.targets.reshape(-1), mask)

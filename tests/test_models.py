@@ -1,12 +1,15 @@
 """Model tests: framing algebra, receptive fields, causality, exact
 gradients on tiny configs, generation, and latency arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bwex import nn
-from bwex.dsp import QuantizedWaveform
+from bwex.dsp import ConditionTrack, QuantizedWaveform
 from bwex.models import (
+    GENERATE_CHUNK,
     Hrnn,
     HrnnConfig,
     Srnn,
@@ -427,6 +430,104 @@ class TestGenerate:
         np.testing.assert_array_equal(align_condition_frames(frames, 2), frames[:2])
         with pytest.raises(ValueError):
             align_condition_frames(np.zeros((0, 2)), 3)
+
+
+def _one_pass_inputs(model, q, conditions=None):
+    """(levels [1, padded], conditions [1, frames, d] or None, valid_len)
+    for one forward over the whole padded utterance."""
+    padded, valid_len, _ = pad_for_model(q, model.cfg)
+    cond = None
+    if conditions is not None:
+        n_frames = (len(padded) - model.cfg.lookahead) // model.cfg.time_multiple
+        cond = align_condition_frames(conditions.frames, n_frames)[None]
+    return padded[None], cond, valid_len
+
+
+def _one_pass_levels(model, q, conditions=None):
+    """Argmax of one cached forward over the whole padded utterance."""
+    levels, cond, valid_len = _one_pass_inputs(model, q, conditions)
+    logits, _, _ = model.forward(levels, conditions=cond)
+    return np.argmax(logits[0], axis=-1)[:valid_len]
+
+
+def _inference_model(kind, dtype, seed=0):
+    if kind == "hrnn":
+        return Hrnn(HrnnConfig.build(hidden=32, embed_dim=16), rng=seed, dtype=dtype)
+    if kind == "srnn":
+        return Srnn(SrnnConfig(hidden=32, embed_dim=16), rng=seed, dtype=dtype)
+    cfg = HrnnConfig.build(hidden=16, embed_dim=8, cond_frame_shift=160, cond_dim=5)
+    return Hrnn(cfg, rng=seed, dtype=dtype)
+
+
+def _inference_inputs(kind, length, seed=0):
+    rng = np.random.default_rng(seed + length)
+    q = QuantizedWaveform(rng.integers(0, 256, length), 16000)
+    conditions = None
+    if kind == "conditional":
+        # a track one frame short of the padded region: the last frame repeats
+        n_frames = max(1, -(-length // 160) - 1)
+        conditions = ConditionTrack(rng.standard_normal((n_frames, 5)), 160)
+    return q, conditions
+
+
+class TestChunkedGenerate:
+    """`generate` runs chunked inference forwards with carried state."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["hrnn", "srnn", "conditional"])
+    @pytest.mark.parametrize("length", [1, 15, 16, 17, 2047, 2048, 2049, 4111, 20000])
+    def test_equals_one_pass_forward(self, length, kind, dtype):
+        model = _inference_model(kind, dtype)
+        q, conditions = _inference_inputs(kind, length)
+        out = generate(model, q, conditions)
+        assert out.levels.dtype == np.int32 and len(out) == length
+        np.testing.assert_array_equal(out.levels, _one_pass_levels(model, q, conditions))
+
+    @pytest.mark.parametrize("kind", ["hrnn", "srnn", "conditional"])
+    def test_uncached_forward_gives_the_cached_logits(self, kind):
+        model = _inference_model(kind, np.float32, seed=3)
+        levels, cond, _ = _one_pass_inputs(model, *_inference_inputs(kind, 700))
+        state = model.init_state(1)
+        for value in state.values():  # a carried, nonzero state
+            for array in value:
+                array[...] = 0.25
+        cached, cache, cached_state = model.forward(levels, conditions=cond, state=state)
+        logits, none, out_state = model.forward(levels, conditions=cond, state=state, cache=False)
+        assert cache is not None and none is None
+        np.testing.assert_array_equal(logits, cached)
+        for key, (h, c) in cached_state.items():
+            np.testing.assert_array_equal(out_state[key][0], h)
+            np.testing.assert_array_equal(out_state[key][1], c)
+
+    def test_chunks_are_whole_frames_within_the_chunk_length(self, monkeypatch):
+        model = _inference_model("conditional", np.float32)
+        q, conditions = _inference_inputs("conditional", 20000)
+        lengths = []
+        forward = model.forward
+
+        def spy(levels, **kwargs):
+            lengths.append(levels.shape[1] - model.cfg.lookahead)
+            return forward(levels, **kwargs)
+
+        monkeypatch.setattr(model, "forward", spy)
+        generate(model, q, conditions)
+        assert sum(lengths) == -(-20000 // 160) * 160
+        assert all(length % 160 == 0 and length <= GENERATE_CHUNK for length in lengths)
+        assert max(lengths) - min(lengths) <= 160
+
+    def test_peak_memory_is_flat_in_utterance_length(self):
+        model = _inference_model("hrnn", np.float32)
+        peaks = {}
+        for seconds in (1, 4):
+            q, _ = _inference_inputs("hrnn", 16000 * seconds)
+            tracemalloc.start()
+            try:
+                generate(model, q)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 1.25 * peaks[1]
+        assert peaks[4] < 32 * 2**20
 
 
 class TestLatency:

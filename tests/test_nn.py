@@ -189,10 +189,18 @@ class TestLstm:
 def _reference_lstm_forward(p, x, h0, c0):
     """The per-step loop lstm_forward ran before its recurrent product took
     the weight as the left operand: gates from h @ W.T, then the cell."""
+    rows = _reference_lstm_rows(p, x, h0, c0)
+    return rows["h"], rows["c"]
+
+
+def _reference_lstm_rows(p, x, h0, c0):
+    """Every row the reference loop forms: h, c, gates and tanh(c)."""
     hidden = p.hidden
     x_proj = x @ p.input_weights.T + p.biases
     h_seq = np.empty(x.shape[:2] + (hidden,), dtype=x.dtype)
     c_seq = np.empty_like(h_seq)
+    tanh_c = np.empty_like(h_seq)
+    gates = np.empty(x.shape[:2] + (4 * hidden,), dtype=x.dtype)
     h, c = h0, c0
     for t in range(x.shape[1]):
         z = h @ p.recurrent_weights.T
@@ -202,8 +210,8 @@ def _reference_lstm_forward(p, x, h0, c0):
         gi, gf, gg, go = np.split(g, 4, axis=-1)
         c = gf * c + gi * gg
         h = go * np.tanh(c)
-        h_seq[:, t], c_seq[:, t] = h, c
-    return h_seq, c_seq
+        h_seq[:, t], c_seq[:, t], tanh_c[:, t], gates[:, t] = h, c, np.tanh(c), g
+    return {"h": h_seq, "c": c_seq, "gates": gates, "tanh_c": tanh_c}
 
 
 def _reference_lstm_backward(p, cache, dh_seq):
@@ -297,6 +305,46 @@ class TestLstmKernels:
         lstm_backward(p, cache, rng.standard_normal((4, 6, 8)).astype(np.float32))
         for name, value in before.items():
             np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
+
+
+class TestLstmInference:
+    """`cache=False` runs the same step body and keeps no [B, T, .] cache."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    def test_uncached_equals_cached_and_reference(self, batch, dtype):
+        rng = np.random.default_rng(20 + batch)
+        hidden, n_in, steps = 16, 5, 12
+        p = LstmParams(
+            _dyadic(rng, (4 * hidden, n_in), dtype),
+            _dyadic(rng, (4 * hidden, hidden), dtype, denom=16),
+            _dyadic(rng, 4 * hidden, dtype),
+        )
+        x = _dyadic(rng, (batch, steps, n_in), dtype, denom=4)
+        h0 = _dyadic(rng, (batch, hidden), dtype)
+        c0 = _dyadic(rng, (batch, hidden), dtype)
+        ref = _reference_lstm_rows(p, x, h0, c0)
+        h_seq, (h_last, c_last), cache = lstm_forward(p, x, h0, c0, cache=False)
+        assert cache is None
+        cached_h, (cached_h_last, cached_c_last), cached = lstm_forward(p, x, h0, c0)
+        for got in (h_seq, cached_h):
+            np.testing.assert_array_equal(got, ref["h"])
+        for got_h, got_c in ((h_last, c_last), (cached_h_last, cached_c_last)):
+            np.testing.assert_array_equal(got_h, ref["h"][:, -1])
+            np.testing.assert_array_equal(got_c, ref["c"][:, -1])
+        for name in ("gates", "c", "tanh_c"):
+            np.testing.assert_array_equal(getattr(cached, name), ref[name], err_msg=name)
+
+    def test_uncached_leaves_the_initial_state_unmodified(self):
+        rng = np.random.default_rng(5)
+        p = LstmParams.create(8, 3, rng, dtype=np.float32)
+        x = rng.standard_normal((2, 6, 3)).astype(np.float32)
+        h0 = rng.standard_normal((2, 8)).astype(np.float32)
+        c0 = rng.standard_normal((2, 8)).astype(np.float32)
+        before = h0.copy(), c0.copy()
+        lstm_forward(p, x, h0, c0, cache=False)
+        np.testing.assert_array_equal(h0, before[0])
+        np.testing.assert_array_equal(c0, before[1])
 
 
 class TestEmbedding:
