@@ -9,7 +9,7 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from . import dsp
 from .dsp import QuantizedWaveform, Waveform
@@ -203,8 +203,10 @@ def build_report(rows) -> MetricsReport:
         if len(values) < 2:
             ci95[key] = None
         else:
+            # stdtrit is the Student-t quantile function, so this is
+            # t.ppf(0.975, n - 1) without importing scipy.stats
             sem = np.std(values, ddof=1) / math.sqrt(len(values))
-            ci95[key] = float(scipy.stats.t.ppf(0.975, len(values) - 1) * sem)
+            ci95[key] = float(stdtrit(len(values) - 1, 0.975) * sem)
     return MetricsReport(rows, means, ci95)
 
 

@@ -99,20 +99,6 @@ def _split_gates(z, hidden):
     return z[..., :hidden], z[..., hidden : 2 * hidden], z[..., 2 * hidden : 3 * hidden], z[..., 3 * hidden :]
 
 
-def lstm_step(p: LstmParams, h_prev: np.ndarray, c_prev: np.ndarray, x: np.ndarray):
-    """One LSTM step for a batch x [B, n_in]; returns (h, c).
-
-    Runs the same cell code as one step of `lstm_forward`.
-    """
-    _check_last_dim("lstm_step", x, p.input_weights.shape[1])
-    if h_prev.shape[-1] != p.hidden or c_prev.shape[-1] != p.hidden:
-        raise ShapeError(
-            f"lstm_step: state dims {h_prev.shape[-1]}/{c_prev.shape[-1]} do not match hidden {p.hidden}"
-        )
-    _, (h, c), _ = lstm_forward(p, x[:, None], h_prev, c_prev)
-    return h, c
-
-
 @dataclasses.dataclass
 class LstmCache:
     x: np.ndarray        # [B, T, n_in]
@@ -135,6 +121,8 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     _check_last_dim("lstm_forward", x, p.input_weights.shape[1])
     batch, steps, _ = x.shape
     hidden = p.hidden
+    if h0.shape != (batch, hidden) or c0.shape != (batch, hidden):
+        raise ShapeError(f"lstm_forward: states {h0.shape}/{c0.shape} do not match (batch, hidden) = {(batch, hidden)}")
     x_proj = x @ p.input_weights.T + p.biases  # hoisted: one big matmul
     h_seq = np.empty((batch, steps, hidden), dtype=x.dtype)
     g = np.empty((batch, 4 * hidden), dtype=x.dtype)
@@ -212,8 +200,18 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
         dc_next = dc * gf[:, t]
     dz2 = dz_seq.reshape(-1, 4 * hidden)
     d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
-    h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)
-    d_recur_w = dz2.T @ h_prev_seq.reshape(-1, hidden)
+    # Step t meets h[t-1], and step 0 meets h0. One GEMM over a shifted
+    # copy of the states costs [B, T, H]; one GEMM per batch row over its
+    # contiguous h[b, :-1], plus one over h0, costs the [4H, H] temporary
+    # that summing them needs. Take the smaller.
+    if batch * steps <= 4 * hidden:
+        h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)
+        d_recur_w = dz2.T @ h_prev_seq.reshape(-1, hidden)
+    else:
+        d_recur_w = dz_seq[:, 0].T @ cache.h0
+        row_term = np.empty_like(d_recur_w)
+        for b in range(batch):
+            d_recur_w += np.matmul(dz_seq[b, 1:].T, cache.h[b, :-1], out=row_term)
     d_biases = dz2.sum(axis=0)
     dx = dz_seq @ p.input_weights
     return (d_input_w, d_recur_w, d_biases), dx, dh_next, dc_next

@@ -1,15 +1,25 @@
 """Metric tests: SNR/LSD oracles, V/UV splits, accuracy, reconstruction,
-and report formatting."""
+report formatting, and the scipy modules the package loads."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bwex
 from bwex import dsp
+from bwex.config import build_run_config
+from bwex.data import save_wav
 from bwex.dsp import QuantizedWaveform, Waveform
 from bwex.metrics import (
     LSD_FRAME_LEN,
     LSD_FRAME_SHIFT,
     MetricsReport,
+    UtteranceMetrics,
     accuracy,
     build_report,
     evaluate_utterance,
@@ -20,6 +30,8 @@ from bwex.metrics import (
     snr,
     split_metrics,
 )
+from bwex.models import build_model
+from bwex.train import Checkpoint, save_checkpoint
 
 
 def noise_wave(n=16000, seed=0, amp=0.3, rate=16000):
@@ -272,3 +284,73 @@ class TestReports:
         assert row.values["snr"] == 120.0
         assert row.values["lsd"] == 0.0
         assert row.values["acc"] == 100.0
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_ci95_equals_the_scipy_stats_t_quantile(self, n):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        values = np.random.default_rng(n).normal(10.0, 3.0, n)
+        rows = [UtteranceMetrics(f"u{i}", {"snr": float(v)}) for i, v in enumerate(values)]
+        sem = np.std([float(v) for v in values], ddof=1) / np.sqrt(n)
+        expected = float(scipy_stats.t.ppf(0.975, n - 1) * sem)
+        assert build_report(rows).ci95["snr"] == expected
+
+
+# ---------------------------------------------------------------------------
+# Import graph: extend and eval load scipy.special and scipy.fft only
+# ---------------------------------------------------------------------------
+
+ALLOWED_SCIPY = {"scipy.special", "scipy.fft"}
+
+
+def scipy_imports(source: str) -> set:
+    """Every scipy module named by an import statement in source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module)
+            if node.module == "scipy":
+                names.update(f"scipy.{alias.name}" for alias in node.names)
+    return {name for name in names if name == "scipy" or name.startswith("scipy.")}
+
+
+def test_scipy_imports_detects_every_form():
+    source = "import scipy.stats\nfrom scipy import signal\nfrom scipy.fft import dct\nimport numpy\n"
+    assert scipy_imports(source) == {"scipy.stats", "scipy", "scipy.signal", "scipy.fft"}
+
+
+def test_package_imports_only_allowed_scipy_modules():
+    package = Path(bwex.__file__).parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        for name in scipy_imports(path.read_text(encoding="utf-8")) - ALLOWED_SCIPY:
+            found.setdefault(name, []).append(path.name)
+    assert not found, f"scipy modules outside {sorted(ALLOWED_SCIPY)}: {found}"
+
+
+def test_extend_and_eval_leave_scipy_stats_unloaded(tmp_path):
+    text = "model.kind = hrnn\nmodel.hidden = 8\nmodel.embed_dim = 4\n"
+    ckpt = tmp_path / "tiny.bweh"
+    model = build_model(build_run_config(text).model_cfg, rng=0)
+    save_checkpoint(ckpt, Checkpoint(config_text=text, params=model.params))
+    narrowband, out, ref = tmp_path / "nb.wav", tmp_path / "deg" / "u.wav", tmp_path / "ref" / "u.wav"
+    save_wav(narrowband, Waveform(0.3 * np.sin(np.arange(4000) * 0.05), 8000))
+    out.parent.mkdir()
+    ref.parent.mkdir()
+    extend = ["extend", "--model", str(ckpt), "--in", str(narrowband), "--out", str(out)]
+    evaluate = ["eval", "--ref", str(ref.parent), "--deg", str(out.parent), "--report", str(tmp_path / "r.csv")]
+    script = (
+        "import contextlib, io, shutil, sys\n"
+        "import bwex.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert bwex.cli.main({extend!r}) == 0\n"
+        f"    shutil.copy({str(out)!r}, {str(ref)!r})\n"
+        f"    assert bwex.cli.main({evaluate!r}) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8").startswith("id,")

@@ -15,10 +15,10 @@ from bwex.models import (
     Srnn,
     SrnnConfig,
     TierSpec,
+    _frame_inputs,
     align_condition_frames,
     build_model,
     conditioning_fanout,
-    frame_tier_inputs,
     generate,
     max_latency_ms,
     pad_for_model,
@@ -99,6 +99,25 @@ class TestPadForModel:
         assert len(padded) == 37 and mask.all()
 
 
+def frame_tier_inputs(values, tier: TierSpec, n_steps: int | None = None) -> np.ndarray:
+    """Reference oracle: frame-and-concatenate step inputs for one tier,
+    one step at a time.
+
+    values is a padded 1-D sample sequence (or 2-D [length, dim] sequence
+    of embedding vectors for the sample tier). Step t concatenates frames
+    t .. t+n_concat-1, each of frame_size entries. Raises if the padded
+    length cannot supply the lookahead frames.
+    """
+    values = np.asarray(values)
+    size, concat = tier.frame_size, tier.n_concat
+    if n_steps is None:
+        n_steps = (len(values) - (concat - 1) * size) // size
+    needed = (n_steps + concat - 1) * size
+    if n_steps < 1 or len(values) < needed:
+        raise ValueError(f"insufficient lookahead padding: have {len(values)} entries, need {needed}")
+    return np.stack([values[t * size : (t + concat) * size].reshape(-1) for t in range(n_steps)])
+
+
 class TestFrameTierInputs:
     def test_frame_concat_layout(self):
         tier = TierSpec(frame_size=4, n_concat=2)
@@ -122,6 +141,17 @@ class TestFrameTierInputs:
     def test_default_step_inference(self):
         f = frame_tier_inputs(np.zeros(20), TierSpec(4, 2))
         assert f.shape == (4, 8)
+
+    @pytest.mark.parametrize("frame_size, n_concat, dim", [(4, 2, None), (16, 2, None), (1, 4, 3), (4, 1, None)])
+    def test_forward_framing_matches_the_oracle(self, frame_size, n_concat, dim):
+        # `Hrnn.forward` frames a whole batch at once with `_frame_inputs`.
+        n_steps = 5
+        shape = (2, (n_steps + n_concat - 1) * frame_size) + (() if dim is None else (dim,))
+        x = np.random.default_rng(frame_size).standard_normal(shape)
+        got = _frame_inputs(x, frame_size, n_concat, n_steps)
+        tier = TierSpec(frame_size, n_concat)
+        for b in range(2):
+            np.testing.assert_array_equal(got[b], frame_tier_inputs(x[b], tier, n_steps))
 
 
 class TestConditioningFanout:
@@ -421,6 +451,14 @@ class TestGenerate:
         a = generate(model, q)
         b = generate(model, q)
         np.testing.assert_array_equal(a.levels, b.levels)
+
+    def test_sample_tables_built_once_per_call(self, monkeypatch):
+        model = Hrnn(tiny_cfg(), rng=19)
+        builds = []
+        build = model.sample_tables
+        monkeypatch.setattr(model, "sample_tables", lambda: builds.append(1) or build())
+        generate(model, QuantizedWaveform(np.arange(3 * GENERATE_CHUNK) % 256, 16000))
+        assert len(builds) == 1
 
     def test_align_condition_frames(self):
         frames = np.arange(6.0).reshape(3, 2)

@@ -23,7 +23,6 @@ from bwex.nn import (
     grad_check,
     lstm_backward,
     lstm_forward,
-    lstm_step,
     softmax_ce,
 )
 
@@ -63,10 +62,28 @@ class TestAffine:
         assert report.passed, report.per_param
 
 
+def lstm_step(p: LstmParams, h_prev, c_prev, x):
+    """Reference oracle: one step of the textbook cell for x [B, n_in],
+    written out gate by gate. Returns (h, c).
+
+    The recurrent product takes the weight as the left operand, as
+    `lstm_forward` does, so that on exact input projections the two agree
+    bit for bit.
+    """
+    hidden = p.hidden
+    z = (p.recurrent_weights @ h_prev.T).T + (x @ p.input_weights.T + p.biases)
+    gi = expit(z[:, :hidden])
+    gf = expit(z[:, hidden : 2 * hidden])
+    gg = np.tanh(z[:, 2 * hidden : 3 * hidden])
+    go = expit(z[:, 3 * hidden :])
+    c = gf * c_prev + gi * gg
+    return go * np.tanh(c), c
+
+
 class TestLstm:
     def test_zero_everything(self):
         p = LstmParams(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8))
-        h, c = lstm_step(p, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
+        _, (h, c), _ = lstm_forward(p, np.zeros((1, 1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
         assert not h.any() and not c.any()
 
     def test_saturated_forget_gate_preserves_cell(self):
@@ -75,13 +92,13 @@ class TestLstm:
         biases[hidden : 2 * hidden] = 20.0  # forget gate ~ 1
         p = LstmParams(np.zeros((4 * hidden, 2)), np.zeros((4 * hidden, hidden)), biases)
         c_prev = np.array([[0.3, -0.8, 1.4]])
-        _, c = lstm_step(p, np.zeros((1, hidden)), c_prev, np.zeros((1, 2)))
+        _, (_, c), _ = lstm_forward(p, np.zeros((1, 1, 2)), np.zeros((1, hidden)), c_prev)
         np.testing.assert_allclose(c, c_prev, atol=1e-8)
 
     def test_state_shape_mismatch(self):
         p = LstmParams(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8))
         with pytest.raises(ShapeError):
-            lstm_step(p, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 2)))
+            lstm_forward(p, np.zeros((1, 1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
 
     def test_forward_matches_stepwise(self):
         rng = np.random.default_rng(1)
