@@ -388,7 +388,7 @@ class Hrnn(_Model):
     def _lstm_prefixes(self) -> dict:
         return {k: f"tier{k + 1}.lstm" for k, tier in enumerate(self.cfg.tiers) if tier.kind != "sample"}
 
-    def sample_tables(self) -> list:
+    def _sample_tables(self) -> list:
         """The sample tier's embedding composed with its combine layer.
 
         Slot j of the concatenated embeddings meets columns
@@ -410,7 +410,6 @@ class Hrnn(_Model):
         conditions: np.ndarray | None = None,
         state: dict | None = None,
         cache: bool = True,
-        tables: list | None = None,
     ):
         """Run the hierarchy over a padded batch.
 
@@ -418,9 +417,7 @@ class Hrnn(_Model):
         when the top tier is conditional. Returns (logits [B, n_steps, 256],
         cache, state_out); recurrent states carry across consecutive calls.
         With `cache=False` (inference) no activations are kept for
-        `backward` and the cache is None. `tables` takes the result of
-        `sample_tables()`, so that calls with unchanged parameters can
-        share one build of them.
+        `backward` and the cache is None.
         """
         cfg = self.cfg
         levels = np.asarray(levels)
@@ -472,10 +469,10 @@ class Hrnn(_Model):
                 tier_caches[k] = {"x": x_k, "lstm_in": lstm_in, "lstm": lstm_cache, "h": h_seq}
 
         # Sample tier: the combine layer over concatenated embeddings is a
-        # sum of one table lookup per slot (see `sample_tables`).
+        # sum of one table lookup per slot (see `_sample_tables`).
         i_sample = conditioning
         i_sample += self.params["tier1.combine.b"]
-        for j, table in enumerate(tables if tables is not None else self.sample_tables()):
+        for j, table in enumerate(self._sample_tables()):
             i_sample += nn.embed(table, levels[:, j : j + n_steps])
         a_hidden = nn.affine(self._affine("tier1.ff1"), i_sample)
         np.maximum(a_hidden, 0.0, out=a_hidden)  # ReLU; backward masks on a > 0, same as z > 0
@@ -606,8 +603,7 @@ def generate(model, x: QuantizedWaveform, conditions: ConditionTrack | None = No
     slice plus the lookahead tail, carrying every LSTM state into the
     next chunk: the slicing of `data.tbptt_chunks`, so the levels equal
     those of one forward over the whole utterance, and memory does not
-    grow with its length. An HRNN's sample tables are built once and
-    shared by every chunk. Ties resolve to the lowest level; the output is
+    grow with its length. Ties resolve to the lowest level; the output is
     truncated back to the input's length. Purely deterministic.
     """
     cfg = model.cfg
@@ -620,13 +616,12 @@ def generate(model, x: QuantizedWaveform, conditions: ConditionTrack | None = No
     n_chunks = -(-n_frames // max(1, GENERATE_CHUNK // multiple))
     levels = np.empty(n_frames * multiple, dtype=np.int32)
     state = None
-    fixed = {"tables": model.sample_tables()} if isinstance(model, Hrnn) else {}
     for i in range(n_chunks):
         start = n_frames * i // n_chunks * multiple
         stop = n_frames * (i + 1) // n_chunks * multiple
         cond = None if frames is None else frames[:, start // multiple : stop // multiple]
         logits, _, state = model.forward(
-            padded[None, start : stop + cfg.lookahead], conditions=cond, state=state, cache=False, **fixed
+            padded[None, start : stop + cfg.lookahead], conditions=cond, state=state, cache=False
         )
         levels[start:stop] = np.argmax(logits[0], axis=-1)
     return QuantizedWaveform(levels[:valid_len], x.sample_rate_hz)

@@ -200,18 +200,8 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
         dc_next = dc * gf[:, t]
     dz2 = dz_seq.reshape(-1, 4 * hidden)
     d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
-    # Step t meets h[t-1], and step 0 meets h0. One GEMM over a shifted
-    # copy of the states costs [B, T, H]; one GEMM per batch row over its
-    # contiguous h[b, :-1], plus one over h0, costs the [4H, H] temporary
-    # that summing them needs. Take the smaller.
-    if batch * steps <= 4 * hidden:
-        h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)
-        d_recur_w = dz2.T @ h_prev_seq.reshape(-1, hidden)
-    else:
-        d_recur_w = dz_seq[:, 0].T @ cache.h0
-        row_term = np.empty_like(d_recur_w)
-        for b in range(batch):
-            d_recur_w += np.matmul(dz_seq[b, 1:].T, cache.h[b, :-1], out=row_term)
+    h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)
+    d_recur_w = dz2.T @ h_prev_seq.reshape(-1, hidden)
     d_biases = dz2.sum(axis=0)
     dx = dz_seq @ p.input_weights
     return (d_input_w, d_recur_w, d_biases), dx, dh_next, dc_next

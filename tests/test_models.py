@@ -452,14 +452,6 @@ class TestGenerate:
         b = generate(model, q)
         np.testing.assert_array_equal(a.levels, b.levels)
 
-    def test_sample_tables_built_once_per_call(self, monkeypatch):
-        model = Hrnn(tiny_cfg(), rng=19)
-        builds = []
-        build = model.sample_tables
-        monkeypatch.setattr(model, "sample_tables", lambda: builds.append(1) or build())
-        generate(model, QuantizedWaveform(np.arange(3 * GENERATE_CHUNK) % 256, 16000))
-        assert len(builds) == 1
-
     def test_align_condition_frames(self):
         frames = np.arange(6.0).reshape(3, 2)
         out = align_condition_frames(frames, 5)
