@@ -36,7 +36,7 @@ CASES = [("hrnn", 32, 4.0), ("hrnn", 256, 1.0), ("hrnn", 1024, 0.35), ("srnn", 3
 
 
 def _case(arch, hidden, seconds):
-    config = HrnnConfig.build if arch == "hrnn" else SrnnConfig
+    config = HrnnConfig if arch == "hrnn" else SrnnConfig
     model = build_model(config(hidden=hidden, embed_dim=EMBED[hidden]), rng=np.random.default_rng(0))
     levels = np.random.default_rng(1).integers(0, 256, int(seconds * RATE))
     return model, QuantizedWaveform(levels, RATE)

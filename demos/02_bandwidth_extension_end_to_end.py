@@ -38,7 +38,7 @@ def main():
     print("target = mu-law of the 4x-amplified high-frequency residual.\n")
 
     cfg = TrainConfig(
-        model=HrnnConfig.build(hidden=32, embed_dim=16),
+        model=HrnnConfig(hidden=32, embed_dim=16),
         lr=3e-3,
         batch_size=1,
         max_epochs=60,

@@ -60,9 +60,9 @@ def main():
     print("== maximal latency (future input needed per output sample) ==")
     systems = [
         ("sample-level RNN", SrnnConfig()),
-        ("3-tier hierarchy (16, 4)", HrnnConfig.build()),
+        ("3-tier hierarchy (16, 4)", HrnnConfig()),
         ("conditional hierarchy + 25 ms MFCC window",
-         HrnnConfig.build(cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0)),
+         HrnnConfig(cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0)),
     ]
     for name, cfg in systems:
         print(f"  {name:>42}: {max_latency_ms(cfg, rate):g} ms")

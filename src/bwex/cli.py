@@ -93,8 +93,7 @@ def cmd_extend(args) -> int:
             raise data.DataError(
                 "conditional model needs --features (no on-the-fly condition source configured)"
             )
-        if conditions.n_frames == 0:
-            raise data.DataError("condition track has no frames: input shorter than one analysis window")
+        data.check_conditions(conditions, run_cfg.model_cfg, args.features or args.input)
     levels = dsp.mulaw_encode(dsp.upsample2(narrowband))
     generated = generate(model, levels, conditions)
     wideband = reconstruct_wideband(

@@ -41,8 +41,10 @@ _CONVERTERS = {
     "train": {f.name: type(f.default) for f in _TRAIN_FIELDS},
     "data": {"train_manifest": Path, "valid_manifest": Path},
 }
-# chrnn: 39-dim MFCCs at a 10 ms shift (160 samples at 16 kHz)
-_CHRNN_DEFAULTS = {"cond_source": "mfcc", "cond_dim": 39, "cond_frame_shift": 160}
+# The track `data.narrowband_mfcc` makes: 39-dim MFCCs at a 10 ms shift
+# (160 samples at 16 kHz). A chrnn with `cond_source = mfcc` must take it.
+_MFCC_TRACK = {"cond_dim": 39, "cond_frame_shift": 160}
+_CHRNN_DEFAULTS = {"cond_source": "mfcc", **_MFCC_TRACK}
 
 
 @dataclasses.dataclass
@@ -124,7 +126,7 @@ def build_run_config(text: str) -> RunConfig:
                 raise ConfigError("model.frame_sizes/concat do not apply to srnn")
             model_cfg: ModelConfig = SrnnConfig(**model)
         elif kind == "hrnn":
-            model_cfg = HrnnConfig.build(**model)
+            model_cfg = HrnnConfig(**model)
         else:
             cond = {**_CHRNN_DEFAULTS, **cond}
             cond_source = cond.pop("cond_source")
@@ -132,7 +134,10 @@ def build_run_config(text: str) -> RunConfig:
                 raise ConfigError(f"model.cond_source must be mfcc or file, got {cond_source!r}")
             if cond_source == "mfcc":
                 cond.setdefault("cond_window_ms", 25.0)  # the MFCC analysis window
-            model_cfg = HrnnConfig.build(**model, **cond)
+            model_cfg = HrnnConfig(**model, **cond)
+            for key, value in _MFCC_TRACK.items():
+                if cond_source == "mfcc" and cond[key] != value:
+                    raise ConfigError(f"model.{key} must be {value} with model.cond_source = mfcc, got {cond[key]}")
         section = "train"
         train_cfg = TrainConfig(model=model_cfg, **_section(values, "train"))
     except FieldError as exc:
@@ -165,17 +170,12 @@ def serialize_config(
         lines.append("model.kind = srnn")
     else:
         lines.append("model.kind = chrnn" if model.conditional else "model.kind = hrnn")
-        waveform_tiers = [t for t in model.tiers[1:] if t.kind != "conditional"]
-        sizes = ",".join(str(t.frame_size) for t in reversed(waveform_tiers))
-        concats = ",".join(
-            str(t.n_concat) for t in reversed([t for t in model.tiers if t.kind != "conditional"])
-        )
-        lines.append(f"model.frame_sizes = {sizes}")
-        lines.append(f"model.concat = {concats}")
+        lines.append(f"model.frame_sizes = {','.join(map(str, model.frame_sizes))}")
+        lines.append(f"model.concat = {','.join(map(str, model.n_concat))}")
         if model.conditional:
             lines.append(f"model.cond_source = {cond_source or 'mfcc'}")
             lines.append(f"model.cond_dim = {model.cond_dim}")
-            lines.append(f"model.cond_frame_shift = {model.tiers[-1].frame_size}")
+            lines.append(f"model.cond_frame_shift = {model.cond_frame_shift}")
             if model.cond_window_ms is not None:
                 lines.append(f"model.cond_window_ms = {model.cond_window_ms}")
     lines.extend(f"model.{f.name} = {getattr(model, f.name)}" for f in _SHARED_FIELDS)

@@ -267,6 +267,19 @@ def load_pairs(manifest: CorpusManifest, model_cfg: ModelConfig, mfcc_conditions
     return pairs
 
 
+def check_conditions(track: ConditionTrack, model_cfg: ModelConfig, name: str):
+    """Raise DataError unless the track has frames of the dim and frame
+    shift the model's conditional tier takes; `name` says whose it is."""
+    dim, shift = model_cfg.cond_dim, model_cfg.cond_frame_shift
+    if (track.dim, track.frame_shift_samples) != (dim, shift):
+        raise DataError(
+            f"{name}: condition track has {track.dim}-dim frames at a {track.frame_shift_samples}-sample"
+            f" shift, the model's conditional tier takes {dim}-dim frames at {shift}"
+        )
+    if track.n_frames == 0:
+        raise DataError(f"{name}: condition track has no frames (input shorter than one analysis window)")
+
+
 # ---------------------------------------------------------------------------
 # Batching
 # ---------------------------------------------------------------------------
@@ -316,11 +329,7 @@ def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
         if conditional:
             if pair.conditions is None:
                 raise DataError(f"{pair.utt_id}: conditional model but pair has no conditions")
-            if pair.conditions.frame_shift_samples != multiple:
-                raise DataError(
-                    f"{pair.utt_id}: condition frame shift {pair.conditions.frame_shift_samples}"
-                    f" does not match the conditional tier's {multiple}"
-                )
+            check_conditions(pair.conditions, model_cfg, pair.utt_id)
             wanted = -(-n // multiple)  # frames covering this utterance
             frames = align_condition_frames(pair.conditions.frames, wanted)
             conditions[i, :wanted] = frames

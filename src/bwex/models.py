@@ -24,6 +24,7 @@ over the whole utterance.
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,6 @@ from .dsp import ConditionTrack, QuantizedWaveform, decode_levels
 PAD_LEVEL = 128  # mu-law level of zero amplitude
 GENERATE_CHUNK = 2048  # output samples per forward pass of `generate` (128 ms)
 SRNN_LSTM_LAYERS = 2  # recurrent depth of the sample-level model
-
-_TIER_KINDS = ("sample", "intermediate", "top", "conditional")
 
 
 class FieldError(ValueError):
@@ -47,26 +46,19 @@ class FieldError(ValueError):
         self.rule = rule
 
 
-@dataclasses.dataclass(frozen=True)
-class TierSpec:
-    """One resolution level of the hierarchy.
+class TierSpec(NamedTuple):
+    """One resolution level of the hierarchy, as `HrnnConfig` derives it.
 
     frame_size: samples covered by one step of this tier.
     n_concat: consecutive frames concatenated into each step input; values
         above 1 let the tier see that many frames of lookahead.
+    kind: "sample", "intermediate", "top" or "conditional", set by the
+        tier's position in the stack.
     """
 
     frame_size: int
-    n_concat: int = 1
-    kind: str = "intermediate"
-
-    def __post_init__(self):
-        if self.kind not in _TIER_KINDS:
-            raise ValueError(f"unknown tier kind {self.kind!r}")
-        if self.frame_size < 1 or self.n_concat < 1:
-            raise ValueError("frame_size and n_concat must be positive")
-        if self.kind == "sample" and self.frame_size != 1:
-            raise ValueError("sample tier must have frame_size 1")
+    n_concat: int
+    kind: str
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -105,81 +97,70 @@ class SrnnConfig(_SharedConfig):
         return 0
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class HrnnConfig(_SharedConfig):
-    """Tier stack ordered bottom (sample) to top, plus global widths.
+    """The tier stack as frame sizes and concatenation, plus global widths.
 
-    The default factory `build()` reproduces the reference system:
-    three tiers with frame sizes (16, 4, 1), two concatenated frames on
-    both frame tiers, and four concatenated embeddings at the sample tier.
+    frame_sizes lists the waveform frame tiers top-down (the sample tier
+    below them is implied); n_concat pairs with frame_sizes plus one
+    trailing entry for the sample tier, and defaults to two frames per
+    frame tier and one lowest-tier frame of embeddings (frame_sizes[-1]
+    of them) at the sample tier. cond_frame_shift adds a conditional tier
+    above everything that consumes cond_dim-dim feature frames at that
+    shift; cond_window_ms is their analysis window, counted in the
+    latency. The defaults reproduce the reference system: frame sizes
+    (16, 4, 1), two concatenated frames on both frame tiers, and four
+    concatenated embeddings at the sample tier.
+
+    `tiers` is derived: TierSpecs ordered bottom (sample) to top.
     """
 
-    tiers: tuple[TierSpec, ...]
+    frame_sizes: tuple[int, ...] = (16, 4)
+    n_concat: tuple[int, ...] | None = None
+    cond_frame_shift: int | None = None
     cond_dim: int | None = None
     cond_window_ms: float | None = None
+    tiers: tuple[TierSpec, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        frame_sizes, shift = self.frame_sizes, self.cond_frame_shift
+        if not frame_sizes:
+            raise FieldError("frame_sizes", "must list at least one frame tier")
+        if any(size < 1 for size in frame_sizes):
+            raise FieldError("frame_sizes", f"must all be >= 1, got {frame_sizes}")
+        n_concat = self.n_concat
+        if n_concat is None:
+            n_concat = (2,) * len(frame_sizes) + (frame_sizes[-1],)
+            object.__setattr__(self, "n_concat", n_concat)
+        if len(n_concat) != len(frame_sizes) + 1:
+            raise FieldError("n_concat", "needs one entry per frame tier plus the sample tier")
+        if any(concat < 1 for concat in n_concat):
+            raise FieldError("n_concat", f"must all be >= 1, got {n_concat}")
+        if shift is not None and shift < 1:
+            raise FieldError("cond_frame_shift", f"must be >= 1, got {shift}")
         super().__post_init__()
-        tiers = tuple(self.tiers)
-        if len(tiers) < 2:
-            raise ValueError("need at least a sample tier and one frame tier")
-        if tiers[0].kind != "sample":
-            raise ValueError("the bottom tier must be the sample tier")
-        if any(t.kind == "sample" for t in tiers[1:]):
-            raise ValueError("exactly one sample tier is allowed, at the bottom")
-        if any(t.kind == "conditional" for t in tiers[:-1]):
-            raise ValueError("a conditional tier may only sit at the top")
+        # Bottom up: the sample tier, the frame tiers, then the conditional one.
+        tiers = [TierSpec(1, n_concat[-1], "sample")]
+        tiers += [TierSpec(size, concat, "intermediate") for size, concat in zip(frame_sizes[::-1], n_concat[-2::-1])]
+        if shift is None:
+            tiers[-1] = tiers[-1]._replace(kind="top")
+        else:
+            tiers.append(TierSpec(shift, 1, "conditional"))
         for lower, upper in zip(tiers[:-1], tiers[1:]):
-            # named by the build() argument that sets the upper frame size
             field = "cond_frame_shift" if upper.kind == "conditional" else "frame_sizes"
             above = f"puts frame size {upper.frame_size} above {lower.frame_size}"
             if upper.frame_size <= lower.frame_size:
                 raise FieldError(field, f"{above}; frame sizes must strictly increase up the stack")
             if upper.frame_size % lower.frame_size != 0:
                 raise FieldError(field, f"{above}, which does not divide it")
-        if tiers[-1].kind == "conditional":
-            if self.cond_dim is None or self.cond_dim < 1:
-                raise FieldError("cond_dim", f"must be >= 1 for a conditional tier, got {self.cond_dim}")
-            if tiers[-1].n_concat != 1:
-                raise ValueError("the conditional tier consumes one feature frame per step")
-        object.__setattr__(self, "tiers", tiers)
+        if shift is not None and (self.cond_dim is None or self.cond_dim < 1):
+            raise FieldError("cond_dim", f"must be >= 1 for a conditional tier, got {self.cond_dim}")
+        object.__setattr__(self, "tiers", tuple(tiers))
 
     @classmethod
-    def build(
-        cls,
-        frame_sizes: tuple[int, ...] = (16, 4),
-        n_concat: tuple[int, ...] | None = None,
-        cond_frame_shift: int | None = None,
-        **fields,
-    ) -> "HrnnConfig":
-        """Assemble a config from top-down frame sizes.
-
-        frame_sizes lists the waveform frame tiers top-down (the implied
-        sample tier is appended); n_concat pairs with frame_sizes plus one
-        trailing entry for the sample tier. By default each frame tier
-        concatenates two frames and the sample tier one lowest-tier frame
-        of embeddings (frame_sizes[-1] of them). Passing cond_frame_shift
-        adds a conditional tier above everything, stepping at that frame
-        shift. Other keywords are fields of the config.
-        """
-        if any(size < 1 for size in frame_sizes):
-            raise FieldError("frame_sizes", f"must all be >= 1, got {frame_sizes}")
-        if n_concat is None:
-            n_concat = (2,) * len(frame_sizes) + (frame_sizes[-1],)
-        if len(n_concat) != len(frame_sizes) + 1:
-            raise FieldError("n_concat", "needs one entry per frame tier plus the sample tier")
-        if any(concat < 1 for concat in n_concat):
-            raise FieldError("n_concat", f"must all be >= 1, got {n_concat}")
-        if cond_frame_shift is not None and cond_frame_shift < 1:
-            raise FieldError("cond_frame_shift", f"must be >= 1, got {cond_frame_shift}")
-        tiers = [TierSpec(1, n_concat[-1], kind="sample")]
-        for size, concat in zip(reversed(frame_sizes), reversed(n_concat[:-1])):
-            tiers.append(TierSpec(size, concat, kind="intermediate"))
-        if cond_frame_shift is not None:
-            tiers.append(TierSpec(cond_frame_shift, 1, kind="conditional"))
-        else:
-            tiers[-1] = dataclasses.replace(tiers[-1], kind="top")
-        return cls(tiers=tuple(tiers), **fields)
+    def build(cls, **fields) -> "HrnnConfig":
+        """The same as `HrnnConfig(**fields)`; kept for existing callers."""
+        return cls(**fields)
 
     @property
     def conditional(self) -> bool:

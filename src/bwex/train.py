@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import _atomic_write, batch_iter, make_batch, tbptt_chunks
-from .models import FieldError, ModelConfig, build_model
+from .models import GENERATE_CHUNK, FieldError, ModelConfig, build_model
 
 
 class NumericError(RuntimeError):
@@ -147,20 +147,29 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
 
 
 def validate(model, pairs, batch_size: int = 8):
-    """Mean masked CE and argmax accuracy (%); mutates nothing."""
+    """Mean masked CE and argmax accuracy (%); mutates nothing.
+
+    Each batch runs as inference forwards over chunks of at most
+    GENERATE_CHUNK samples that carry the LSTM state, as in `generate`,
+    so memory does not grow with utterance length.
+    """
     total_ce, total_hits, count = 0.0, 0, 0
     pairs = list(pairs)
     for start in range(0, len(pairs), batch_size):
         batch = make_batch(pairs[start : start + batch_size], model.cfg)
-        logits, _, _ = model.forward(batch.inputs, conditions=batch.conditions, cache=False)
-        flat = logits.reshape(-1, logits.shape[-1])
-        mask = batch.mask.reshape(-1)
-        loss, _ = nn.softmax_ce(flat, batch.targets.reshape(-1), mask)
-        predictions = np.argmax(flat, axis=-1)
-        n_valid = int(mask.sum())
-        total_ce += loss * n_valid
-        total_hits += int(np.sum((predictions == batch.targets.reshape(-1)) & mask))
-        count += n_valid
+        state = None
+        for chunk in tbptt_chunks(batch, GENERATE_CHUNK, model.cfg):
+            n_valid = int(chunk.mask.sum())
+            if n_valid == 0:
+                break  # masks are prefixes: nothing valid remains
+            logits, _, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state, cache=False)
+            flat = logits.reshape(-1, logits.shape[-1])
+            targets = chunk.targets.reshape(-1)
+            mask = chunk.mask.reshape(-1)
+            loss, _ = nn.softmax_ce(flat, targets, mask)
+            total_ce += loss * n_valid
+            total_hits += int(np.sum((np.argmax(flat, axis=-1) == targets) & mask))
+            count += n_valid
     return total_ce / count, 100.0 * total_hits / count
 
 

@@ -14,7 +14,7 @@ import bwex
 from bwex import dsp
 from bwex.cli import main
 from bwex.config import ConfigError, build_run_config, parse_config_text, serialize_config
-from bwex.data import load_features, load_wav, save_wav
+from bwex.data import load_features, load_wav, narrowband_mfcc, save_features, save_wav
 from bwex.dsp import Waveform
 from bwex.models import HrnnConfig, SrnnConfig
 from bwex.train import TrainConfig
@@ -126,6 +126,65 @@ class TestConfigText:
         assert back.model_cfg == model
         assert back.train_cfg == train_cfg
         assert back.cond_source == "mfcc"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("model.cond_dim = 10", "model.cond_dim must be 39 with model.cond_source = mfcc, got 10"),
+         ("model.cond_frame_shift = 320", "model.cond_frame_shift must be 160 with model.cond_source = mfcc, got 320")],
+        ids=["dim", "shift"],
+    )
+    def test_mfcc_conditions_fix_dim_and_shift(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"model.kind = chrnn\n{line}\n")
+        assert main(["latency", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        cfg.write_text(f"model.kind = chrnn\nmodel.cond_source = file\n{line}\n")
+        assert main(["latency", "--config", str(cfg)]) == 0
+
+    def test_mfcc_default_is_the_track_narrowband_mfcc_makes(self):
+        model = build_run_config("model.kind = chrnn").model_cfg
+        track = narrowband_mfcc(synth_narrowband(800))
+        assert (track.dim, track.frame_shift_samples) == (model.cond_dim, model.cond_frame_shift)
+
+
+# Config text as the serializer wrote it before `HrnnConfig` stored frame
+# sizes and concat, for each benchmark workload's model and for the chrnn
+# default, with the tier stack (frame_size, n_concat, kind) bottom up that
+# each must still parse to.
+_REFERENCE_STACK = ((1, 4, "sample"), (4, 2, "intermediate"), (16, 2, "top"))
+_TRAIN_LINES = "train.lr = 0.001\ntrain.batch_size = {}\ntrain.max_epochs = {}\ntrain.patience = {}\ntrain.seed = 0\n" \
+    "train.clip_norm = 5.0\ntrain.chunk_len = 480\n"
+GOLDEN_CONFIGS = {
+    "extend_paper": (
+        "model.kind = hrnn\nmodel.frame_sizes = 16,4\nmodel.concat = 2,2,4\nmodel.hidden = 1024\n"
+        "model.embed_dim = 256\nmodel.strategy = hf\nmodel.hf_gain = 4.0\n" + _TRAIN_LINES.format(8, 1, 1),
+        _REFERENCE_STACK,
+    ),
+    "extend_desk_long": (
+        "model.kind = hrnn\nmodel.frame_sizes = 16,4\nmodel.concat = 2,2,4\nmodel.hidden = 32\n"
+        "model.embed_dim = 16\nmodel.strategy = hf\nmodel.hf_gain = 4.0\n" + _TRAIN_LINES.format(8, 1, 1),
+        _REFERENCE_STACK,
+    ),
+    "train_mid": (
+        "model.kind = hrnn\nmodel.frame_sizes = 16,4\nmodel.concat = 2,2,4\nmodel.hidden = 256\n"
+        "model.embed_dim = 64\nmodel.strategy = hf\nmodel.hf_gain = 4.0\n" + _TRAIN_LINES.format(4, 6, 6),
+        _REFERENCE_STACK,
+    ),
+    "chrnn_default": (
+        "model.kind = chrnn\nmodel.frame_sizes = 16,4\nmodel.concat = 2,2,4\nmodel.cond_source = mfcc\n"
+        "model.cond_dim = 39\nmodel.cond_frame_shift = 160\nmodel.cond_window_ms = 25.0\nmodel.hidden = 1024\n"
+        "model.embed_dim = 256\nmodel.strategy = hf\nmodel.hf_gain = 4.0\n" + _TRAIN_LINES.format(8, 50, 5),
+        ((1, 4, "sample"), (4, 2, "intermediate"), (16, 2, "intermediate"), (160, 1, "conditional")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_config_text_parses_to_its_tier_stack_and_back(name):
+    text, stack = GOLDEN_CONFIGS[name]
+    run_cfg = build_run_config(text)
+    assert run_cfg.model_cfg.tiers == stack
+    assert serialize_config(run_cfg.train_cfg, cond_source=run_cfg.cond_source) == text
 
 
 def non_default_train_config(model):
@@ -310,6 +369,16 @@ class TestCliDataErrors:
         save_wav(tmp_path / "short.wav", synth_narrowband(100))
         argv = ["extend", "--model", str(ckpt), "--in", str(tmp_path / "short.wav"), "--out", str(tmp_path / "o.wav")]
         assert_data_error(capsys, argv)
+
+    @pytest.mark.parametrize("dim, shift", [(10, 160), (39, 320)], ids=["dim", "shift"])
+    def test_extend_features_must_fit_the_conditional_tier(self, tmp_path, capsys, dim, shift):
+        ckpt = tiny_checkpoint(tmp_path / "m.bweh", kind="chrnn")  # 39-dim frames at 160
+        save_wav(tmp_path / "nb.wav", synth_narrowband(4000))
+        save_features(tmp_path / "f.bwef", dsp.ConditionTrack(np.zeros((60, dim)), shift))
+        out = tmp_path / "o.wav"
+        argv = ["extend", "--model", str(ckpt), "--in", str(tmp_path / "nb.wav"), "--out", str(out)]
+        assert_data_error(capsys, argv + ["--features", str(tmp_path / "f.bwef")])
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_ref, n_deg", [(3000, 4000), (300, 300)])
     def test_eval_length_mismatch_or_shorter_than_one_frame(self, tmp_path, capsys, n_ref, n_deg):

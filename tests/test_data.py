@@ -256,6 +256,18 @@ class TestBatching:
         with pytest.raises(DataError, match="conditions"):
             make_batch(self.make_pairs([400]), cfg)
 
+    @pytest.mark.parametrize(
+        "frames, shift, match",
+        [((3, 10), 160, "10-dim frames at a 160-sample shift"), ((3, 39), 320, "39-dim frames at a 320-sample shift"),
+         ((0, 39), 160, "no frames")],
+        ids=["dim", "shift", "empty"],
+    )
+    def test_condition_track_must_fit_the_conditional_tier(self, frames, shift, match):
+        cfg = tiny_cfg(cond_frame_shift=160, cond_dim=39)
+        pairs = self.make_pairs([400], conditions=ConditionTrack(np.zeros(frames), shift))
+        with pytest.raises(DataError, match=match):
+            make_batch(pairs, cfg)
+
 
 class TestTbptt:
     def test_chunk_lengths_and_flags(self):

@@ -45,11 +45,14 @@ class TestConfig:
         assert concats == [4, 2, 2]
         assert cfg.hidden == 1024 and cfg.embed_dim == 256
 
-    def test_sample_tier_constraints(self):
-        with pytest.raises(ValueError):
-            HrnnConfig(tiers=(TierSpec(2, kind="sample"),))
-        with pytest.raises(ValueError):
-            HrnnConfig(tiers=(TierSpec(1, kind="sample"),))  # need a frame tier
+    def test_tiers_are_derived_not_settable(self):
+        with pytest.raises(TypeError):
+            HrnnConfig(tiers=(TierSpec(1, 4, "sample"), TierSpec(4, 2, "top")))
+        cfg = HrnnConfig(cond_frame_shift=160, cond_dim=39)
+        assert cfg == HrnnConfig(frame_sizes=(16, 4), n_concat=(2, 2, 4), cond_frame_shift=160, cond_dim=39)
+        assert cfg.tiers == ((1, 4, "sample"), (4, 2, "intermediate"), (16, 2, "intermediate"), (160, 1, "conditional"))
+        with pytest.raises(ValueError, match="frame_sizes"):
+            HrnnConfig(frame_sizes=())
 
     def test_frame_sizes_must_divide_and_increase(self):
         with pytest.raises(ValueError):
@@ -120,7 +123,7 @@ def frame_tier_inputs(values, tier: TierSpec, n_steps: int | None = None) -> np.
 
 class TestFrameTierInputs:
     def test_frame_concat_layout(self):
-        tier = TierSpec(frame_size=4, n_concat=2)
+        tier = TierSpec(frame_size=4, n_concat=2, kind="intermediate")
         x = np.arange(20.0)
         f = frame_tier_inputs(x, tier, n_steps=4)
         assert f.shape == (4, 8)
@@ -129,7 +132,7 @@ class TestFrameTierInputs:
 
     def test_insufficient_lookahead_rejected(self):
         with pytest.raises(ValueError, match="lookahead"):
-            frame_tier_inputs(np.zeros(16), TierSpec(4, 2), n_steps=4)
+            frame_tier_inputs(np.zeros(16), TierSpec(4, 2, "intermediate"), n_steps=4)
 
     def test_sample_tier_embedding_concat(self):
         tier = TierSpec(frame_size=1, n_concat=4, kind="sample")
@@ -139,7 +142,7 @@ class TestFrameTierInputs:
         np.testing.assert_array_equal(f[0], vectors[0:4].reshape(-1))
 
     def test_default_step_inference(self):
-        f = frame_tier_inputs(np.zeros(20), TierSpec(4, 2))
+        f = frame_tier_inputs(np.zeros(20), TierSpec(4, 2, "intermediate"))
         assert f.shape == (4, 8)
 
     @pytest.mark.parametrize("frame_size, n_concat, dim", [(4, 2, None), (16, 2, None), (1, 4, 3), (4, 1, None)])
@@ -149,7 +152,7 @@ class TestFrameTierInputs:
         shape = (2, (n_steps + n_concat - 1) * frame_size) + (() if dim is None else (dim,))
         x = np.random.default_rng(frame_size).standard_normal(shape)
         got = _frame_inputs(x, frame_size, n_concat, n_steps)
-        tier = TierSpec(frame_size, n_concat)
+        tier = TierSpec(frame_size, n_concat, "intermediate")
         for b in range(2):
             np.testing.assert_array_equal(got[b], frame_tier_inputs(x[b], tier, n_steps))
 

@@ -1,13 +1,15 @@
 """Trainer tests: convergence sanity, determinism, early stopping,
 validation purity, and the checkpoint file format."""
 
+import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bwex import dsp, nn
+from bwex import data, dsp, nn
 from bwex.cli import main
 from bwex.config import model_from_checkpoint, serialize_config
 from bwex.data import load_wav, save_wav
@@ -158,6 +160,53 @@ class TestValidate:
         model = build_model(cfg.model, rng=np.random.default_rng(3))
         _, acc = validate(model, pairs)
         assert acc <= 5.0  # ~1/256 up to prediction clustering
+
+    @staticmethod
+    def one_pass(model, pairs, batch_size):
+        """Reference: CE and accuracy from one forward per whole batch."""
+        total_ce, hits, count = 0.0, 0, 0
+        for start in range(0, len(pairs), batch_size):
+            batch = make_batch(pairs[start : start + batch_size], model.cfg)
+            logits, _, _ = model.forward(batch.inputs, conditions=batch.conditions, cache=False)
+            flat = logits.reshape(-1, 256)
+            targets, mask = batch.targets.reshape(-1), batch.mask.reshape(-1)
+            loss, _ = nn.softmax_ce(flat, targets, mask)
+            total_ce += loss * mask.sum()
+            hits += int(np.sum((np.argmax(flat, axis=-1) == targets) & mask))
+            count += int(mask.sum())
+        return total_ce / count, 100.0 * hits / count
+
+    @pytest.mark.parametrize("kind", ["hrnn", "srnn", "chrnn"])
+    def test_chunked_equals_one_pass(self, kind):
+        # 5000 and 1100 samples: several chunks, and a final chunk where
+        # only the longer utterance is still valid.
+        pairs = toy_pairs(n_utts=3, n_samples=5000) + toy_pairs(n_utts=1, n_samples=1100)
+        if kind == "chrnn":
+            pairs = [dataclasses.replace(p, conditions=data.narrowband_mfcc(p.narrowband)) for p in pairs]
+        model_cfg = {
+            "hrnn": HrnnConfig(hidden=16, embed_dim=8),
+            "srnn": SrnnConfig(hidden=16, embed_dim=8),
+            "chrnn": HrnnConfig(hidden=16, embed_dim=8, cond_frame_shift=160, cond_dim=39),
+        }[kind]
+        model = build_model(model_cfg, rng=np.random.default_rng(5))
+        ce, acc = validate(model, pairs, batch_size=2)
+        ref_ce, ref_acc = self.one_pass(model, pairs, batch_size=2)
+        assert acc == ref_acc
+        np.testing.assert_allclose(ce, ref_ce, rtol=1e-6)
+
+    def test_peak_memory_is_flat_in_utterance_length(self):
+        model = build_model(HrnnConfig(hidden=32, embed_dim=16), rng=np.random.default_rng(0))
+        peaks = {}
+        for seconds in (1, 4):
+            pairs = toy_pairs(n_utts=2, n_samples=16000 * seconds)
+            tracemalloc.start()
+            try:
+                validate(model, pairs, batch_size=2)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 1.25 * peaks[1]
+        assert peaks[4] < 48 * 2**20
 
 
 class TestCheckpointIo:
