@@ -4,14 +4,15 @@ tracemalloc peak, single-threaded, HRNN beside SRNN.
     PYTHONPATH=src python3 -m pytest benchmarks/test_generate.py \
         --benchmark-json=generate.json
 
-Tier-1 does not collect this file (`testpaths` is `tests`). The cases are
-(architecture, hidden, seconds of 16 kHz input) on random-init models with
-the benchmark workloads' widths (embed 16/64/256 at hidden 32/256/1024):
-HRNN at desk scale on 4 s, mid scale on 1 s and paper scale on 0.35 s, and
-SRNN at desk and mid scale on 1 s. Each benchmark's `extra_info` holds the
-wall seconds per second of audio of its fastest round and the tracemalloc
-peak of one untimed call. SRNN over HRNN time per second of audio at the
-same hidden width is the paper's speed comparison.
+Tier-1 does not collect this file (`testpaths` is `tests` and `bench`).
+The cases are (architecture, hidden, seconds of 16 kHz input) on
+random-init models with the benchmark workloads' widths (embed 16/64/256
+at hidden 32/256/1024): HRNN at desk scale on 4 s, mid scale on 1 s and
+paper scale on 0.35 s, and SRNN at desk and mid scale on 1 s. Each
+benchmark's `extra_info` holds the wall seconds per second of audio of its
+fastest round and the tracemalloc peak of one untimed call. SRNN over HRNN
+time per second of audio at the same hidden width is the paper's speed
+comparison.
 """
 
 import os

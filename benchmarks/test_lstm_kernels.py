@@ -4,11 +4,11 @@ per step, single-threaded.
     PYTHONPATH=src python3 -m pytest benchmarks/test_lstm_kernels.py \
         --benchmark-json=lstm.json
 
-Tier-1 does not collect this file (`testpaths` is `tests`). The cases are
-(hidden, batch, steps): a paper-scale tier at B=1, a mid-scale training
-batch, a long mid-scale sequence at B=2 and a long desk-scale sequence.
-Each benchmark's `extra_info` holds the time per step of its fastest round
-and the tracemalloc peak of one untimed call.
+Tier-1 does not collect this file (`testpaths` is `tests` and `bench`).
+The cases are (hidden, batch, steps): a paper-scale tier at B=1, a
+mid-scale training batch, a long mid-scale sequence at B=2 and a long
+desk-scale sequence. Each benchmark's `extra_info` holds the time per step
+of its fastest round and the tracemalloc peak of one untimed call.
 """
 
 import os

@@ -5,9 +5,9 @@ the seconds and peak memory of the imports of a real `bwex extend` and
     PYTHONPATH=src python3 -m pytest benchmarks/test_startup.py \
         --benchmark-json=startup.json
 
-Tier-1 does not collect this file (`testpaths` is `tests`). The child
-process imports bwex from the directory this process imported it from,
-so pointing PYTHONPATH at another checkout's `src` measures that
+Tier-1 does not collect this file (`testpaths` is `tests` and `bench`).
+The child process imports bwex from the directory this process imported
+it from, so pointing PYTHONPATH at another checkout's `src` measures that
 checkout. Each round runs `bwex.cli.main` on a random-init h=8 HRNN
 checkpoint and a 0.5 s input under `python -X importtime`, so the
 imports timed are the ones the command makes, whatever they are. The
@@ -16,7 +16,8 @@ the command's small amount of work included. Each benchmark's
 `extra_info` holds the median over its rounds of the seconds spent in
 `import bwex.cli` (`cli_s`), in the imports made while the command ran
 (`command_s`), their sum (`import_s`), the child's `ru_maxrss` in MB,
-and whether any round loaded `scipy.stats`.
+and whether any round loaded any scipy module (`scipy_loaded`) and
+`scipy.stats` (`scipy_stats_loaded`).
 """
 
 import json
@@ -44,6 +45,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({{
     "code": code,
     "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "scipy": any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
     "scipy_stats": "scipy.stats" in sys.modules,
 }}))
 """
@@ -110,4 +112,5 @@ def test_startup_imports(benchmark, commands, command):
     timed = samples[1:] or samples  # the warm-up round is not one; --benchmark-disable runs once
     for key in ("cli_s", "command_s", "import_s", "ru_maxrss_mb"):
         benchmark.extra_info[key] = round(statistics.median(s[key] for s in timed), 4)
+    benchmark.extra_info["scipy_loaded"] = any(s["scipy"] for s in timed)
     benchmark.extra_info["scipy_stats_loaded"] = any(s["scipy_stats"] for s in timed)

@@ -41,10 +41,11 @@ _CONVERTERS = {
     "train": {f.name: type(f.default) for f in _TRAIN_FIELDS},
     "data": {"train_manifest": Path, "valid_manifest": Path},
 }
-# The track `data.narrowband_mfcc` makes: 39-dim MFCCs at a 10 ms shift
-# (160 samples at 16 kHz). A chrnn with `cond_source = mfcc` must take it.
-_MFCC_TRACK = {"cond_dim": 39, "cond_frame_shift": 160}
-_CHRNN_DEFAULTS = {"cond_source": "mfcc", **_MFCC_TRACK}
+# A chrnn's track defaults to 39 dims at a 10 ms shift (160 samples at
+# 16 kHz). That is the track `data.narrowband_mfcc` makes, over a 25 ms
+# analysis window, and a chrnn with `cond_source = mfcc` must take it.
+_CHRNN_DEFAULTS = {"cond_dim": 39, "cond_frame_shift": 160}
+_MFCC_TRACK = {**_CHRNN_DEFAULTS, "cond_window_ms": 25.0}
 
 
 @dataclasses.dataclass
@@ -128,12 +129,10 @@ def build_run_config(text: str) -> RunConfig:
         elif kind == "hrnn":
             model_cfg = HrnnConfig(**model)
         else:
-            cond = {**_CHRNN_DEFAULTS, **cond}
-            cond_source = cond.pop("cond_source")
+            cond_source = cond.pop("cond_source", "mfcc")
             if cond_source not in ("mfcc", "file"):
                 raise ConfigError(f"model.cond_source must be mfcc or file, got {cond_source!r}")
-            if cond_source == "mfcc":
-                cond.setdefault("cond_window_ms", 25.0)  # the MFCC analysis window
+            cond = {**(_MFCC_TRACK if cond_source == "mfcc" else _CHRNN_DEFAULTS), **cond}
             model_cfg = HrnnConfig(**model, **cond)
             for key, value in _MFCC_TRACK.items():
                 if cond_source == "mfcc" and cond[key] != value:
@@ -163,7 +162,11 @@ def serialize_config(
     valid_manifest=None,
     cond_source: str | None = None,
 ) -> str:
-    """Emit config text that build_run_config parses back equivalently."""
+    """Emit config text that build_run_config parses back equivalently.
+
+    Without `cond_source`, a conditional model is written as `mfcc` when
+    it takes the MFCC track and as `file` otherwise.
+    """
     model = train_cfg.model
     lines = []
     if isinstance(model, SrnnConfig):
@@ -173,7 +176,10 @@ def serialize_config(
         lines.append(f"model.frame_sizes = {','.join(map(str, model.frame_sizes))}")
         lines.append(f"model.concat = {','.join(map(str, model.n_concat))}")
         if model.conditional:
-            lines.append(f"model.cond_source = {cond_source or 'mfcc'}")
+            if cond_source is None:  # mfcc names one track only
+                on_mfcc = all(getattr(model, key) == value for key, value in _MFCC_TRACK.items())
+                cond_source = "mfcc" if on_mfcc else "file"
+            lines.append(f"model.cond_source = {cond_source}")
             lines.append(f"model.cond_dim = {model.cond_dim}")
             lines.append(f"model.cond_frame_shift = {model.cond_frame_shift}")
             if model.cond_window_ms is not None:

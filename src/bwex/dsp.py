@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.fft
 
 N_LEVELS = 256
 _MU = 255.0
@@ -366,6 +365,8 @@ def mfcc(w: Waveform, cfg: MfccConfig | None = None) -> ConditionTrack:
     power = np.abs(spec) ** 2
     bank = mel_filterbank(cfg.n_mel_filters, _next_pow2(cfg.frame_len_samples), cfg.sample_rate_hz)
     logmel = np.log(power @ bank.T + _LOG_FLOOR)
+    import scipy.fft  # here, not at the top: only MFCC needs scipy
+
     cep = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_cepstra]
     if cfg.include_deltas:
         d1 = _deltas(cep)

@@ -9,7 +9,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import dsp
 from .dsp import QuantizedWaveform, Waveform
@@ -204,7 +203,10 @@ def build_report(rows) -> MetricsReport:
             ci95[key] = None
         else:
             # stdtrit is the Student-t quantile function, so this is
-            # t.ppf(0.975, n - 1) without importing scipy.stats
+            # t.ppf(0.975, n - 1) without importing scipy.stats; only eval
+            # builds a report, so extend does not import scipy at all
+            from scipy.special import stdtrit
+
             sem = np.std(values, ddof=1) / math.sqrt(len(values))
             ci95[key] = float(stdtrit(len(values) - 1, 0.975) * sem)
     return MetricsReport(rows, means, ci95)

@@ -130,8 +130,9 @@ class TestConfigText:
     @pytest.mark.parametrize(
         "line, message",
         [("model.cond_dim = 10", "model.cond_dim must be 39 with model.cond_source = mfcc, got 10"),
-         ("model.cond_frame_shift = 320", "model.cond_frame_shift must be 160 with model.cond_source = mfcc, got 320")],
-        ids=["dim", "shift"],
+         ("model.cond_frame_shift = 320", "model.cond_frame_shift must be 160 with model.cond_source = mfcc, got 320"),
+         ("model.cond_window_ms = 5", "model.cond_window_ms must be 25.0 with model.cond_source = mfcc, got 5.0")],
+        ids=["dim", "shift", "window"],
     )
     def test_mfcc_conditions_fix_dim_and_shift(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "m.cfg"
@@ -141,10 +142,35 @@ class TestConfigText:
         cfg.write_text(f"model.kind = chrnn\nmodel.cond_source = file\n{line}\n")
         assert main(["latency", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("kind, latency", [("hrnn", "1.9375 ms"), ("srnn", "0 ms")])
+    def test_unconditional_models_ignore_a_cond_window(self, tmp_path, capsys, kind, latency):
+        # Accepted, so that checkpoints whose config text sets it still load.
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"model.kind = {kind}\nmodel.cond_window_ms = 5\n")
+        assert main(["latency", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == f"{latency}\n"
+
+    @pytest.mark.parametrize(
+        "cond, source",
+        [({"cond_dim": 10, "cond_frame_shift": 160, "cond_window_ms": 25.0}, "file"),
+         ({"cond_dim": 39, "cond_frame_shift": 320, "cond_window_ms": 25.0}, "file"),
+         ({"cond_dim": 39, "cond_frame_shift": 160}, "file"),
+         ({"cond_dim": 39, "cond_frame_shift": 160, "cond_window_ms": 25.0}, "mfcc")],
+        ids=["dim", "shift", "no-window", "mfcc-track"],
+    )
+    def test_serialize_without_source_writes_the_one_that_parses_back(self, cond, source):
+        model = HrnnConfig(hidden=8, embed_dim=4, **cond)
+        back = build_run_config(serialize_config(TrainConfig(model=model)))
+        assert back.model_cfg.tiers == model.tiers
+        assert back.model_cfg == model
+        assert back.cond_source == source
+
     def test_mfcc_default_is_the_track_narrowband_mfcc_makes(self):
         model = build_run_config("model.kind = chrnn").model_cfg
         track = narrowband_mfcc(synth_narrowband(800))
         assert (track.dim, track.frame_shift_samples) == (model.cond_dim, model.cond_frame_shift)
+        mfcc_cfg = dsp.MfccConfig.for_sample_rate(8000)  # the rate narrowband_mfcc reads
+        assert 1000 * mfcc_cfg.frame_len_samples / mfcc_cfg.sample_rate_hz == model.cond_window_ms
 
 
 # Config text as the serializer wrote it before `HrnnConfig` stored frame

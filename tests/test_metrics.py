@@ -296,23 +296,39 @@ class TestReports:
 
 
 # ---------------------------------------------------------------------------
-# Import graph: extend and eval load scipy.special and scipy.fft only
+# Import graph: only MFCC and eval's ci95 load scipy, and only when called
 # ---------------------------------------------------------------------------
 
-ALLOWED_SCIPY = {"scipy.special", "scipy.fft"}
+# (file, function, module) of every scipy import in the package
+SCIPY_IMPORT_SITES = {("dsp.py", "mfcc", "scipy.fft"), ("metrics.py", "build_report", "scipy.special")}
+
+
+def scipy_import_sites(source: str) -> set:
+    """(enclosing function or None, module) of every scipy import in
+    source; None means the import runs when the module loads."""
+    sites = set()
+
+    def visit(node, function):
+        names = set()
+        if isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = {node.module}
+            if node.module == "scipy":
+                names.update(f"scipy.{alias.name}" for alias in node.names)
+        sites.update((function, name) for name in names if name == "scipy" or name.startswith("scipy."))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
 
 
 def scipy_imports(source: str) -> set:
     """Every scipy module named by an import statement in source."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            names.add(node.module)
-            if node.module == "scipy":
-                names.update(f"scipy.{alias.name}" for alias in node.names)
-    return {name for name in names if name == "scipy" or name.startswith("scipy.")}
+    return {name for _, name in scipy_import_sites(source)}
 
 
 def test_scipy_imports_detects_every_form():
@@ -320,37 +336,83 @@ def test_scipy_imports_detects_every_form():
     assert scipy_imports(source) == {"scipy.stats", "scipy", "scipy.signal", "scipy.fft"}
 
 
+def test_scipy_import_sites_name_the_enclosing_function():
+    source = (
+        "import scipy.fft\n"
+        "class A:\n    from scipy import signal\n"
+        "    def f(self):\n        import scipy.special\n"
+        "def g():\n    def inner():\n        from scipy.stats import t\n    import numpy\n"
+    )
+    assert scipy_import_sites(source) == {
+        (None, "scipy.fft"),
+        (None, "scipy"),
+        (None, "scipy.signal"),
+        ("f", "scipy.special"),
+        ("inner", "scipy.stats"),
+    }
+
+
 def test_package_imports_only_allowed_scipy_modules():
+    # Only MFCC and eval's ci95 use scipy, and they import it when called:
+    # one module-level import would load scipy in every command again.
     package = Path(bwex.__file__).parent
-    found = {}
-    for path in sorted(package.rglob("*.py")):
-        for name in scipy_imports(path.read_text(encoding="utf-8")) - ALLOWED_SCIPY:
-            found.setdefault(name, []).append(path.name)
-    assert not found, f"scipy modules outside {sorted(ALLOWED_SCIPY)}: {found}"
+    sites = {
+        (path.name, *site)
+        for path in sorted(package.rglob("*.py"))
+        for site in scipy_import_sites(path.read_text(encoding="utf-8"))
+    }
+    assert sites == SCIPY_IMPORT_SITES
+
+
+TINY_TRAIN_CONFIG = """\
+model.kind = {kind}
+model.hidden = 8
+model.embed_dim = 4
+train.batch_size = 1
+train.max_epochs = 1
+train.patience = 1
+"""
 
 
 def test_extend_and_eval_leave_scipy_stats_unloaded(tmp_path):
-    text = "model.kind = hrnn\nmodel.hidden = 8\nmodel.embed_dim = 4\n"
-    ckpt = tmp_path / "tiny.bweh"
-    model = build_model(build_run_config(text).model_cfg, rng=0)
-    save_checkpoint(ckpt, Checkpoint(config_text=text, params=model.params))
-    narrowband, out, ref = tmp_path / "nb.wav", tmp_path / "deg" / "u.wav", tmp_path / "ref" / "u.wav"
-    save_wav(narrowband, Waveform(0.3 * np.sin(np.arange(4000) * 0.05), 8000))
-    out.parent.mkdir()
-    ref.parent.mkdir()
-    extend = ["extend", "--model", str(ckpt), "--in", str(narrowband), "--out", str(out)]
-    evaluate = ["eval", "--ref", str(ref.parent), "--deg", str(out.parent), "--report", str(tmp_path / "r.csv")]
+    """extend, train and latency on hrnn and srnn load no scipy module at
+    all, and eval then loads scipy.special but not scipy.stats."""
+    numpy_only = []
+    for kind in ("hrnn", "srnn"):
+        text = TINY_TRAIN_CONFIG.format(kind=kind)
+        ckpt = tmp_path / f"{kind}.bweh"
+        model = build_model(build_run_config(text).model_cfg, rng=0)
+        save_checkpoint(ckpt, Checkpoint(config_text=text, params=model.params))
+        config = tmp_path / f"{kind}.cfg"
+        config.write_text(text + f"data.train_manifest = {tmp_path / 'corpus.tsv'}\n"
+                          + f"data.valid_manifest = {tmp_path / 'corpus.tsv'}\n")
+        numpy_only += [
+            ["extend", "--model", str(ckpt), "--in", str(tmp_path / "nb.wav"), "--out", str(tmp_path / "deg" / f"{kind}.wav")],
+            ["train", "--config", str(config), "--out", str(tmp_path / f"{kind}-trained.bweh")],
+            ["latency", "--config", str(config)],
+        ]
+    save_wav(tmp_path / "nb.wav", Waveform(0.3 * np.sin(np.arange(4000) * 0.05), 8000))
+    save_wav(tmp_path / "wb.wav", Waveform(0.3 * np.sin(np.arange(2000) * 0.05), 16000))
+    (tmp_path / "corpus.tsv").write_text("u0\twb.wav\nu1\twb.wav\n")
+    (tmp_path / "deg").mkdir()
+    (tmp_path / "ref").mkdir()
+    evaluate = ["eval", "--ref", str(tmp_path / "ref"), "--deg", str(tmp_path / "deg"), "--report", str(tmp_path / "r.csv")]
     script = (
         "import contextlib, io, shutil, sys\n"
         "import bwex.cli\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert bwex.cli.main({extend!r}) == 0\n"
-        f"    shutil.copy({str(out)!r}, {str(ref)!r})\n"
+        f"    for argv in {numpy_only!r}:\n"
+        "        assert bwex.cli.main(argv) == 0, argv\n"
+        "        assert not scipy_loaded(), (argv[0], scipy_loaded())\n"
+        f"    for name in {[str(tmp_path / 'deg' / f'{kind}.wav') for kind in ('hrnn', 'srnn')]!r}:\n"
+        f"        shutil.copy(name, {str(tmp_path / 'ref')!r})\n"
         f"    assert bwex.cli.main({evaluate!r}) == 0\n"
-        "assert 'scipy.stats' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "assert 'scipy.stats' not in sys.modules, scipy_loaded()\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "r.csv").read_text(encoding="utf-8").startswith("id,")

@@ -62,6 +62,11 @@ class TestAffine:
         assert report.passed, report.per_param
 
 
+def logistic(z):
+    """The logistic function as `lstm_forward` forms it: 1/2 + tanh(z/2)/2."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
+
+
 def lstm_step(p: LstmParams, h_prev, c_prev, x):
     """Reference oracle: one step of the textbook cell for x [B, n_in],
     written out gate by gate. Returns (h, c).
@@ -72,10 +77,10 @@ def lstm_step(p: LstmParams, h_prev, c_prev, x):
     """
     hidden = p.hidden
     z = (p.recurrent_weights @ h_prev.T).T + (x @ p.input_weights.T + p.biases)
-    gi = expit(z[:, :hidden])
-    gf = expit(z[:, hidden : 2 * hidden])
+    gi = logistic(z[:, :hidden])
+    gf = logistic(z[:, hidden : 2 * hidden])
     gg = np.tanh(z[:, 2 * hidden : 3 * hidden])
-    go = expit(z[:, 3 * hidden :])
+    go = logistic(z[:, 3 * hidden :])
     c = gf * c_prev + gi * gg
     return go * np.tanh(c), c
 
@@ -151,6 +156,28 @@ class TestLstm:
         np.testing.assert_array_equal(gg, np.broadcast_to(sign, gg.shape))
         assert np.isfinite(h_seq).all() and np.isfinite(cache.c).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gate_logistic_matches_scipy_expit(self, dtype):
+        # Each row of the batch carries one z into all four gate slots
+        # (unit input weights, zero recurrence and biases), so the cached
+        # gates are the i, f, o logistic and the cell tanh of the grid.
+        z = np.concatenate([np.linspace(-30.0, 30.0, 6001), [0.0, 20.0, -20.0, 1e4, -1e4]]).astype(dtype)
+        p = LstmParams(np.ones((4, 1), dtype), np.zeros((4, 1), dtype), np.zeros(4, dtype))
+        zeros = np.zeros((z.size, 1), dtype)
+        _, _, cache = lstm_forward(p, z[:, None, None], zeros, zeros)
+        gi, gf, gg, go = cache.gates[:, 0].T
+        want = expit(z)
+        # 1/2 + tanh(z/2)/2 is within one machine epsilon of expit: at most
+        # 2 ulp on z >= 0, where the gate is in [1/2, 1]. For z < 0 the sum
+        # cancels, so only the absolute bound holds there.
+        np.testing.assert_array_equal(gf, gi)
+        np.testing.assert_array_equal(go, gi)
+        np.testing.assert_allclose(gi, want, rtol=0, atol=np.finfo(dtype).eps)
+        upper = z >= 0
+        assert np.all(np.abs(gi - want)[upper] <= 2 * np.spacing(want[upper]))
+        np.testing.assert_array_equal(gg, np.tanh(z))
+        np.testing.assert_array_equal(gi[[-5, -2, -1]], np.array([0.5, 1.0, 0.0], dtype))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_bptt_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -222,7 +249,7 @@ def _reference_lstm_rows(p, x, h0, c0):
     for t in range(x.shape[1]):
         z = h @ p.recurrent_weights.T
         z += x_proj[:, t]
-        g = expit(z)
+        g = logistic(z)
         g[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
         gi, gf, gg, go = np.split(g, 4, axis=-1)
         c = gf * c + gi * gg
