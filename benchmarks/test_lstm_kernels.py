@@ -1,5 +1,5 @@
-"""Layer micro-benchmark: `nn.lstm_forward` and `nn.lstm_backward`, time
-per step, single-threaded.
+"""Layer micro-benchmark: `nn.lstm_forward` with and without its cache,
+and `nn.lstm_backward`, time per step, single-threaded.
 
     PYTHONPATH=src python3 -m pytest benchmarks/test_lstm_kernels.py \
         --benchmark-json=lstm.json
@@ -7,8 +7,10 @@ per step, single-threaded.
 Tier-1 does not collect this file (`testpaths` is `tests` and `bench`).
 The cases are (hidden, batch, steps): a paper-scale tier at B=1, a
 mid-scale training batch, a long mid-scale sequence at B=2 and a long
-desk-scale sequence. Each benchmark's `extra_info` holds the time per step
-of its fastest round and the tracemalloc peak of one untimed call.
+desk-scale sequence. `test_lstm_forward_inference` runs the uncached
+forward that `generate` and `validate` use. Each benchmark's `extra_info`
+holds the time per step of its fastest round and the tracemalloc peak of
+one untimed call.
 """
 
 import os
@@ -58,6 +60,12 @@ def _run(benchmark, fn, steps):
 def test_lstm_forward(benchmark, hidden, batch, steps):
     p, x, h0, _ = _case(hidden, batch, steps)
     _run(benchmark, lambda: nn.lstm_forward(p, x, h0, h0), steps)
+
+
+@pytest.mark.parametrize("hidden, batch, steps", CASES)
+def test_lstm_forward_inference(benchmark, hidden, batch, steps):
+    p, x, h0, _ = _case(hidden, batch, steps)
+    _run(benchmark, lambda: nn.lstm_forward(p, x, h0, h0, cache=False), steps)
 
 
 @pytest.mark.parametrize("hidden, batch, steps", CASES)

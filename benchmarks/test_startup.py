@@ -8,16 +8,17 @@ the seconds and peak memory of the imports of a real `bwex extend` and
 Tier-1 does not collect this file (`testpaths` is `tests` and `bench`).
 The child process imports bwex from the directory this process imported
 it from, so pointing PYTHONPATH at another checkout's `src` measures that
-checkout. Each round runs `bwex.cli.main` on a random-init h=8 HRNN
-checkpoint and a 0.5 s input under `python -X importtime`, so the
-imports timed are the ones the command makes, whatever they are. The
-benchmark's own time is one whole child process, interpreter start and
-the command's small amount of work included. Each benchmark's
-`extra_info` holds the median over its rounds of the seconds spent in
-`import bwex.cli` (`cli_s`), in the imports made while the command ran
-(`command_s`), their sum (`import_s`), the child's `ru_maxrss` in MB,
-and whether any round loaded any scipy module (`scipy_loaded`) and
-`scipy.stats` (`scipy_stats_loaded`).
+checkout. Each round runs `bwex.cli.main` under `python -X importtime`:
+`extend` on a random-init h=8 HRNN checkpoint and a 0.5 s input, `eval`
+on two 0.5 s ref/deg pairs, so that its report forms a ci95 as a real
+eval of a corpus does. The imports timed are the ones the command makes,
+whatever they are. The benchmark's own time is one whole child process,
+interpreter start and the command's small amount of work included. Each
+benchmark's `extra_info` holds the median over its rounds of the seconds
+spent in `import bwex.cli` (`cli_s`), in the imports made while the
+command ran (`command_s`), their sum (`import_s`), the child's
+`ru_maxrss` in MB, and whether any round loaded any scipy module
+(`scipy_loaded`) and `scipy.stats` (`scipy_stats_loaded`).
 """
 
 import json
@@ -53,7 +54,7 @@ print(json.dumps({{
 
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory) -> dict:
-    """argv of one `extend` and one `eval` run on small files."""
+    """argv of one `extend` run and one `eval` run on small files."""
     root = tmp_path_factory.mktemp("startup")
     text = "model.kind = hrnn\nmodel.hidden = 8\nmodel.embed_dim = 4\n"
     ckpt = root / "tiny.bweh"
@@ -61,7 +62,8 @@ def commands(tmp_path_factory) -> dict:
     save_wav(root / "nb.wav", Waveform(0.3 * np.sin(np.arange(4000) * 0.05), 8000))
     for side in ("ref", "deg"):
         (root / side).mkdir()
-        save_wav(root / side / "u.wav", Waveform(0.3 * np.sin(np.arange(8000) * 0.05), 16000))
+        for utt, step in (("u", 0.05), ("v", 0.06)):  # two pairs, so the report forms its ci95
+            save_wav(root / side / f"{utt}.wav", Waveform(0.3 * np.sin(np.arange(8000) * step), 16000))
     return {
         "extend": ["extend", "--model", str(ckpt), "--in", str(root / "nb.wav"), "--out", str(root / "out.wav")],
         "eval": ["eval", "--ref", str(root / "ref"), "--deg", str(root / "deg"), "--report", str(root / "r.csv")],

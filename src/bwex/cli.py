@@ -94,13 +94,14 @@ def cmd_extend(args) -> int:
                 "conditional model needs --features (no on-the-fly condition source configured)"
             )
         data.check_conditions(conditions, run_cfg.model_cfg, args.features or args.input)
-    levels = dsp.mulaw_encode(dsp.upsample2(narrowband))
-    generated = generate(model, levels, conditions)
+    upsampled = dsp.upsample2(narrowband)
+    generated = generate(model, dsp.mulaw_encode(upsampled), conditions)
     wideband = reconstruct_wideband(
         narrowband,
         generated,
         strategy=run_cfg.model_cfg.strategy,
         hf_gain=run_cfg.model_cfg.hf_gain,
+        upsampled=upsampled,
     )
     data.save_wav(args.out, wideband)
     print(f"wrote {args.out}: {len(wideband)} samples at {wideband.sample_rate_hz} Hz")

@@ -127,19 +127,22 @@ def reconstruct_wideband(
     generated: QuantizedWaveform,
     strategy: str = "hf",
     hf_gain: float = 4.0,
+    upsampled: Waveform | None = None,
 ) -> Waveform:
     """Assemble the final wideband signal from generated levels.
 
     The decoded output (deamplified by the training gain under the HF
     strategy) passes the 4 kHz highpass and is added to the upsampled
     narrowband, so the band below 4 kHz always comes from the input.
+    A caller that already holds `dsp.upsample2(narrowband)` passes it as
+    `upsampled`, so it is not computed twice.
     """
     if generated.sample_rate_hz != 2 * narrowband.sample_rate_hz:
         raise ValueError(
             f"generated rate {generated.sample_rate_hz} is not twice the narrowband"
             f" rate {narrowband.sample_rate_hz}"
         )
-    base = dsp.upsample2(narrowband)
+    base = dsp.upsample2(narrowband) if upsampled is None else upsampled
     if len(generated) != len(base):
         raise ValueError(f"length mismatch: generated {len(generated)} vs upsampled {len(base)}")
     decoded = dsp.decode_levels(generated.levels)

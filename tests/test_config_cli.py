@@ -363,15 +363,84 @@ class TestCliExtendAndEval:
         assert "a" in err and "b" in err
 
 
-def tiny_checkpoint(path, kind="hrnn"):
+def tiny_checkpoint(path, kind="hrnn", hidden=8, embed_dim=4):
     """A random-init checkpoint for a tiny model of the given kind."""
     from bwex.models import build_model
     from bwex.train import Checkpoint, save_checkpoint
 
-    text = f"model.kind = {kind}\nmodel.hidden = 8\nmodel.embed_dim = 4\n"
+    text = f"model.kind = {kind}\nmodel.hidden = {hidden}\nmodel.embed_dim = {embed_dim}\n"
     model = build_model(build_run_config(text).model_cfg, rng=0)
     save_checkpoint(path, Checkpoint(config_text=text, params=model.params))
     return path
+
+
+def noisy_narrowband(n=4000, seed=0):
+    """A tone with white noise: non-dyadic samples, as real input has."""
+    nb = synth_narrowband(n, seed)
+    noise = 0.05 * np.random.default_rng(seed).standard_normal(n)
+    return Waveform(nb.samples + noise, nb.sample_rate_hz)
+
+
+class TestCliExtendOutput:
+    """What `bwex extend` writes, bit for bit."""
+
+    def test_extend_upsamples_once_and_writes_the_former_bytes(self, tmp_path, monkeypatch):
+        from bwex.config import model_from_checkpoint
+        from bwex.metrics import reconstruct_wideband
+        from bwex.models import generate
+        from bwex.train import load_checkpoint
+
+        ckpt = tiny_checkpoint(tmp_path / "m.bweh")
+        nb_path, out = tmp_path / "nb.wav", tmp_path / "out.wav"
+        save_wav(nb_path, noisy_narrowband(3000))
+        upsample2 = dsp.upsample2
+        calls = []
+        monkeypatch.setattr(dsp, "upsample2", lambda w: calls.append(len(w)) or upsample2(w))
+        assert main(["extend", "--model", str(ckpt), "--in", str(nb_path), "--out", str(out)]) == 0
+        assert calls == [3000]
+        monkeypatch.undo()
+        # The former path: reconstruct_wideband upsamples the input again.
+        model, run_cfg = model_from_checkpoint(load_checkpoint(ckpt))
+        narrowband = load_wav(nb_path)
+        generated = generate(model, dsp.mulaw_encode(dsp.upsample2(narrowband)))
+        cfg = run_cfg.model_cfg
+        save_wav(tmp_path / "want.wav", reconstruct_wideband(narrowband, generated, cfg.strategy, cfg.hf_gain))
+        assert out.read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+    # sha256 of the generated levels (int32) and of the written WAV, taken
+    # before the LSTM step kept its gates gate-major, when it summed into a
+    # [B, 4H] buffer through np.dot. Measured with numpy 2.4 and its bundled
+    # OpenBLAS; another BLAS may round the products differently.
+    GOLDEN = {
+        32: (
+            "f258b37247293670bfaa79086e0b0d7d942c85bf94b00e0fa59db0eb62b7ceaa",
+            "1c336a7658d9b61011fa5260c634eafe17ac4c99b7b961bfa33e8af7dd997991",
+        ),
+        256: (
+            "0be4b1fbeb0b50a2170060efa0052e2a2a1911109a5351e4022baacfd8ec6814",
+            "8bcfd34b813d45ec1402a45eb8a1bd41b7237e9cf56c10acc1bdc593f48961d4",
+        ),
+    }
+
+    @pytest.mark.parametrize("hidden, embed_dim", [(32, 16), (256, 64)])
+    def test_extend_output_is_pinned(self, tmp_path, hidden, embed_dim):
+        import hashlib
+
+        from bwex.config import model_from_checkpoint
+        from bwex.models import generate
+        from bwex.train import load_checkpoint
+
+        ckpt = tiny_checkpoint(tmp_path / "m.bweh", hidden=hidden, embed_dim=embed_dim)
+        nb_path, out = tmp_path / "nb.wav", tmp_path / "out.wav"
+        save_wav(nb_path, noisy_narrowband(4000, seed=hidden))  # 0.5 s: four generate chunks
+        assert main(["extend", "--model", str(ckpt), "--in", str(nb_path), "--out", str(out)]) == 0
+        model, _ = model_from_checkpoint(load_checkpoint(ckpt))
+        levels = generate(model, dsp.mulaw_encode(dsp.upsample2(load_wav(nb_path)))).levels
+        got = (
+            hashlib.sha256(levels.astype("<i4").tobytes()).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest(),
+        )
+        assert got == self.GOLDEN[hidden]
 
 
 def assert_data_error(capsys, argv):

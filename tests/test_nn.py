@@ -288,6 +288,37 @@ def _reference_lstm_backward(p, cache, dh_seq):
     return (d_input_w, d_recur_w, dz2.sum(axis=0)), dz_seq @ p.input_weights, dh_next, dc_next
 
 
+def _former_lstm_forward(p, x, h0, c0):
+    """The step body `lstm_forward` ran before its gate buffer became
+    gate-major: gates in a [B, 4H] buffer, the recurrent product as
+    `np.dot(W, h.T).T` plus the input projection, the logistic as one
+    scaled tanh pass. Returns (h_seq, (h_last, c_last))."""
+    batch, steps, _ = x.shape
+    hidden = p.hidden
+    x_proj = x @ p.input_weights.T + p.biases
+    h_steps = np.empty((steps, batch, hidden), dtype=x.dtype)
+    g = np.empty((batch, 4 * hidden), dtype=x.dtype)
+    gi, gf, gg, go = np.split(g, 4, axis=-1)
+    scale = np.full_like(g, 0.5)
+    scale[:, 2 * hidden : 3 * hidden] = 1.0
+    shift = 1.0 - scale
+    c = np.array(c0, dtype=x.dtype)
+    tc = np.empty_like(c)
+    h = h0
+    for x_t, h_t in zip(x_proj.swapaxes(0, 1), h_steps):
+        np.add(np.dot(p.recurrent_weights, h.T).T, x_t, out=g)
+        g *= scale
+        np.tanh(g, out=g)
+        g *= scale
+        g += shift
+        c *= gf
+        c += np.multiply(gi, gg, out=tc)
+        np.tanh(c, out=tc)
+        h = np.multiply(go, tc, out=h_t)
+    h_seq = np.ascontiguousarray(h_steps.swapaxes(0, 1))
+    return h_seq, (h_seq[:, -1].copy(), c)
+
+
 def _dyadic(rng, shape, dtype, denom=8):
     return (rng.integers(-denom, denom + 1, shape) / denom).astype(dtype)
 
@@ -378,6 +409,34 @@ class TestLstmInference:
             np.testing.assert_array_equal(got_c, ref["c"][:, -1])
         for name in ("gates", "c", "tanh_c"):
             np.testing.assert_array_equal(getattr(cached, name), ref[name], err_msg=name)
+
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("hidden, n_in", [(32, 32), (8, 3)])
+    def test_b1_equals_the_former_step_body_on_real_data(self, hidden, n_in, cache):
+        # Non-dyadic float32 data as `generate` sees it: every rounding of
+        # the former [B, 4H] step body must be repeated, not only exact sums.
+        rng = np.random.default_rng(hidden + n_in)
+        p = LstmParams.create(hidden, n_in, rng)
+        p.biases[...] = rng.standard_normal(4 * hidden)
+        x = rng.standard_normal((1, 300, n_in)).astype(np.float32)
+        h0 = rng.standard_normal((1, hidden)).astype(np.float32)
+        c0 = rng.standard_normal((1, hidden)).astype(np.float32)
+        want_h, (want_h_last, want_c_last) = _former_lstm_forward(p, x, h0, c0)
+        h_seq, (h_last, c_last), _ = lstm_forward(p, x, h0, c0, cache=cache)
+        np.testing.assert_array_equal(h_seq, want_h)
+        np.testing.assert_array_equal(h_last, want_h_last)
+        np.testing.assert_array_equal(c_last, want_c_last)
+
+    def test_states_in_another_dtype_are_cast(self):
+        rng = np.random.default_rng(6)
+        p = LstmParams.create(8, 3, rng)
+        x = rng.standard_normal((2, 5, 3)).astype(np.float32)
+        h0, c0 = rng.standard_normal((2, 2, 8))
+        h_seq, (h_last, c_last), _ = lstm_forward(p, x, h0, c0, cache=False)
+        want, (want_h, want_c), _ = lstm_forward(p, x, h0.astype(np.float32), c0.astype(np.float32), cache=False)
+        assert h_seq.dtype == c_last.dtype == np.float32
+        np.testing.assert_array_equal(h_seq, want)
+        np.testing.assert_array_equal(c_last, want_c)
 
     def test_uncached_leaves_the_initial_state_unmodified(self):
         rng = np.random.default_rng(5)
