@@ -15,7 +15,7 @@ import importlib
 # function is `bwex.train.train`.
 _EXPORTS = {
     **dict.fromkeys(
-        ("ConditionTrack", "FirFilter", "MfccConfig", "QuantizedWaveform", "Waveform", "mulaw_decode", "mulaw_encode"),
+        ("ConditionTrack", "FirFilter", "QuantizedWaveform", "Waveform", "mulaw_decode", "mulaw_encode"),
         "dsp",
     ),
     **dict.fromkeys(

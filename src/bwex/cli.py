@@ -22,9 +22,6 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-NARROWBAND_RATE = 8000
-WIDEBAND_RATE = 16000
-
 
 def _set_threads(raw: str | None):
     """Pin the BLAS thread pools to `--threads`, else to BWE_THREADS.
@@ -57,9 +54,8 @@ def cmd_train(args) -> int:
         raise data.DataError("config must set data.train_manifest and data.valid_manifest")
     train_manifest = data.load_manifest(run_cfg.train_manifest, split="train")
     valid_manifest = data.load_manifest(run_cfg.valid_manifest, split="valid")
-    mfcc_conditions = run_cfg.cond_source == "mfcc"
-    train_pairs = data.load_pairs(train_manifest, run_cfg.model_cfg, mfcc_conditions)
-    valid_pairs = data.load_pairs(valid_manifest, run_cfg.model_cfg, mfcc_conditions)
+    train_pairs = data.load_pairs(train_manifest, run_cfg.model_cfg, run_cfg.cond_source)
+    valid_pairs = data.load_pairs(valid_manifest, run_cfg.model_cfg, run_cfg.cond_source)
     result = train(run_cfg.train_cfg, train_pairs, valid_pairs, config_text=text, log=print)
     save_checkpoint(args.out, result.checkpoint)
     print(f"saved best checkpoint (epoch {result.best_epoch}) to {args.out}")
@@ -76,24 +72,16 @@ def cmd_extend(args) -> int:
     ckpt = load_checkpoint(args.model)
     model, run_cfg = model_from_checkpoint(ckpt)
     narrowband = data.load_wav(args.input)
-    if narrowband.sample_rate_hz != NARROWBAND_RATE:
+    if narrowband.sample_rate_hz != data.NARROWBAND_RATE:
         raise data.DataError(
-            f"{args.input}: expected {NARROWBAND_RATE} Hz narrowband input,"
+            f"{args.input}: expected {data.NARROWBAND_RATE} Hz narrowband input,"
             f" got {narrowband.sample_rate_hz}"
         )
     if len(narrowband) == 0:
         raise data.DataError(f"{args.input}: no samples to extend")
-    conditions = None
-    if getattr(run_cfg.model_cfg, "conditional", False):
-        if args.features is not None:
-            conditions = data.load_features(args.features)
-        elif run_cfg.cond_source == "mfcc":
-            conditions = data.narrowband_mfcc(narrowband)
-        else:
-            raise data.DataError(
-                "conditional model needs --features (no on-the-fly condition source configured)"
-            )
-        data.check_conditions(conditions, run_cfg.model_cfg, args.features or args.input)
+    conditions = data.condition_track(
+        run_cfg.model_cfg, run_cfg.cond_source, narrowband, args.features, args.input
+    )
     upsampled = dsp.upsample2(narrowband)
     generated = generate(model, dsp.mulaw_encode(upsampled), conditions)
     wideband = reconstruct_wideband(
@@ -162,9 +150,9 @@ def cmd_features(args) -> int:
 
         raise ConfigError(f"unsupported feature type {args.type!r}")
     narrowband = data.load_wav(args.input)
-    if narrowband.sample_rate_hz != NARROWBAND_RATE:
+    if narrowband.sample_rate_hz != data.NARROWBAND_RATE:
         raise data.DataError(
-            f"{args.input}: expected {NARROWBAND_RATE} Hz input, got {narrowband.sample_rate_hz}"
+            f"{args.input}: expected {data.NARROWBAND_RATE} Hz input, got {narrowband.sample_rate_hz}"
         )
     track = data.narrowband_mfcc(narrowband)
     if track.n_frames == 0:
@@ -178,6 +166,7 @@ def cmd_features(args) -> int:
 
 def cmd_latency(args) -> int:
     from .config import build_run_config
+    from .data import WIDEBAND_RATE
     from .models import max_latency_ms
 
     text = Path(args.config).read_text(encoding="utf-8")

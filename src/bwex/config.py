@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from .data import MFCC_TRACK
 from .models import FieldError, HrnnConfig, ModelConfig, SrnnConfig
 from .train import Checkpoint, CheckpointError, TrainConfig
 
@@ -41,11 +42,9 @@ _CONVERTERS = {
     "train": {f.name: type(f.default) for f in _TRAIN_FIELDS},
     "data": {"train_manifest": Path, "valid_manifest": Path},
 }
-# A chrnn's track defaults to 39 dims at a 10 ms shift (160 samples at
-# 16 kHz). That is the track `data.narrowband_mfcc` makes, over a 25 ms
-# analysis window, and a chrnn with `cond_source = mfcc` must take it.
-_CHRNN_DEFAULTS = {"cond_dim": 39, "cond_frame_shift": 160}
-_MFCC_TRACK = {**_CHRNN_DEFAULTS, "cond_window_ms": 25.0}
+# A chrnn's track defaults to the dims and frame shift of the MFCC track,
+# and a chrnn with `cond_source = mfcc` must take that track.
+_CHRNN_DEFAULTS = {key: MFCC_TRACK[key] for key in ("cond_dim", "cond_frame_shift")}
 
 
 @dataclasses.dataclass
@@ -132,9 +131,9 @@ def build_run_config(text: str) -> RunConfig:
             cond_source = cond.pop("cond_source", "mfcc")
             if cond_source not in ("mfcc", "file"):
                 raise ConfigError(f"model.cond_source must be mfcc or file, got {cond_source!r}")
-            cond = {**(_MFCC_TRACK if cond_source == "mfcc" else _CHRNN_DEFAULTS), **cond}
+            cond = {**(MFCC_TRACK if cond_source == "mfcc" else _CHRNN_DEFAULTS), **cond}
             model_cfg = HrnnConfig(**model, **cond)
-            for key, value in _MFCC_TRACK.items():
+            for key, value in MFCC_TRACK.items():
                 if cond_source == "mfcc" and cond[key] != value:
                     raise ConfigError(f"model.{key} must be {value} with model.cond_source = mfcc, got {cond[key]}")
         section = "train"
@@ -177,7 +176,7 @@ def serialize_config(
         lines.append(f"model.concat = {','.join(map(str, model.n_concat))}")
         if model.conditional:
             if cond_source is None:  # mfcc names one track only
-                on_mfcc = all(getattr(model, key) == value for key, value in _MFCC_TRACK.items())
+                on_mfcc = all(getattr(model, key) == value for key, value in MFCC_TRACK.items())
                 cond_source = "mfcc" if on_mfcc else "file"
             lines.append(f"model.cond_source = {cond_source}")
             lines.append(f"model.cond_dim = {model.cond_dim}")

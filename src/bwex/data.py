@@ -21,12 +21,26 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dsp import ConditionTrack, MfccConfig, QuantizedWaveform, Waveform
+from .dsp import ConditionTrack, QuantizedWaveform, Waveform
 from .models import ModelConfig, align_condition_frames, PAD_LEVEL
 
 
 class DataError(ValueError):
     """Malformed corpus input: file formats, manifests, rates, lengths."""
+
+
+NARROWBAND_RATE = 8000
+WIDEBAND_RATE = 16000
+
+# The track a chrnn's conditional tier reads when `cond_source = mfcc`:
+# `narrowband_mfcc`'s frames, their shift counted in wideband samples so
+# that it lines up with model samples, and the analysis window the
+# latency counts.
+MFCC_TRACK = {
+    "cond_dim": dsp.MFCC_DIM,
+    "cond_frame_shift": int(round(dsp.MFCC_SHIFT_MS * WIDEBAND_RATE / 1000)),
+    "cond_window_ms": dsp.MFCC_WINDOW_MS,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +193,6 @@ def _resolve(base: Path, field: str) -> Path:
 # Training pairs
 # ---------------------------------------------------------------------------
 
-WIDEBAND_RATE = 16000
-
-
 @dataclasses.dataclass(frozen=True)
 class UtterancePair:
     """Aligned input/target level sequences plus reconstruction context."""
@@ -204,20 +215,21 @@ def build_pair(
     wideband: Waveform,
     strategy: str = "hf",
     hf_gain: float = 4.0,
-    conditions: ConditionTrack | str | None = None,
+    conditions: ConditionTrack | None = None,
     utt_id: str = "",
 ) -> UtterancePair:
     """Derive one training pair from a wideband recording.
 
-    conditions may be a precomputed ConditionTrack or the string "mfcc"
-    to extract 39-dim narrowband MFCCs (condition frame shifts are stored
-    at the wideband rate so they line up with model samples).
+    An odd-length recording loses its last sample, so that input, target
+    and twice the narrowband signal all have one length.
     """
+    name = utt_id or "utterance"
     if wideband.sample_rate_hz != WIDEBAND_RATE:
-        raise DataError(
-            f"{utt_id or 'utterance'}: expected {WIDEBAND_RATE} Hz wideband input,"
-            f" got {wideband.sample_rate_hz}"
-        )
+        raise DataError(f"{name}: expected {WIDEBAND_RATE} Hz wideband input, got {wideband.sample_rate_hz}")
+    if len(wideband) < 2:
+        raise DataError(f"{name}: {len(wideband)} samples, a training pair needs at least 2")
+    if len(wideband) % 2:
+        wideband = Waveform(wideband.samples[:-1], WIDEBAND_RATE)
     narrowband = dsp.downsample2(wideband)
     input_levels = dsp.mulaw_encode(dsp.upsample2(narrowband))
     if strategy == "wb":
@@ -226,8 +238,6 @@ def build_pair(
         target = dsp.make_hf_target(wideband, hf_gain)
     else:
         raise DataError(f"unknown mapping strategy {strategy!r}")
-    if conditions == "mfcc":
-        conditions = narrowband_mfcc(narrowband)
     return UtterancePair(
         utt_id=utt_id,
         input_levels=input_levels,
@@ -238,32 +248,43 @@ def build_pair(
 
 
 def narrowband_mfcc(narrowband: Waveform) -> ConditionTrack:
-    """39-dim MFCC track of the narrowband signal, with the frame shift
-    re-expressed in wideband samples."""
-    cfg = MfccConfig.for_sample_rate(narrowband.sample_rate_hz)
-    track = dsp.mfcc(narrowband, cfg)
-    shift_wideband = cfg.frame_shift_samples * WIDEBAND_RATE // narrowband.sample_rate_hz
-    return ConditionTrack(track.frames, shift_wideband)
+    """The MFCC track of the narrowband signal, with the frame shift
+    re-expressed in wideband samples (see MFCC_TRACK)."""
+    return ConditionTrack(dsp.mfcc(narrowband).frames, MFCC_TRACK["cond_frame_shift"])
 
 
-def load_pairs(manifest: CorpusManifest, model_cfg: ModelConfig, mfcc_conditions: bool = False):
-    """Materialize every manifest entry into an UtterancePair."""
+def condition_track(
+    model_cfg: ModelConfig, cond_source: str | None, narrowband: Waveform, feature_path, name: str
+) -> ConditionTrack | None:
+    """The track the model's conditional tier reads for one utterance.
+
+    None for a model without that tier. Otherwise the feature file when
+    there is one, else the MFCCs of `narrowband` when the source is
+    mfcc; the track must fit the tier (see `check_conditions`), and
+    `name` says whose it is.
+    """
+    if not model_cfg.conditional:
+        return None
+    if feature_path is not None:
+        track = load_features(feature_path)
+    elif cond_source == "mfcc":
+        track = narrowband_mfcc(narrowband)
+    else:
+        raise DataError(f"{name}: the conditional tier needs a feature file (no MFCC condition source configured)")
+    check_conditions(track, model_cfg, name)
+    return track
+
+
+def load_pairs(manifest: CorpusManifest, model_cfg: ModelConfig, cond_source: str | None = None):
+    """Materialize every manifest entry into an UtterancePair, with the
+    condition track its model reads (see `condition_track`)."""
     pairs = []
     for entry in manifest.entries:
-        conditions: ConditionTrack | str | None = None
-        if entry.feature_path is not None:
-            conditions = load_features(entry.feature_path)
-        elif mfcc_conditions:
-            conditions = "mfcc"
-        pairs.append(
-            build_pair(
-                load_wav(entry.wav_path),
-                strategy=model_cfg.strategy,
-                hf_gain=model_cfg.hf_gain,
-                conditions=conditions,
-                utt_id=entry.utt_id,
-            )
+        pair = build_pair(
+            load_wav(entry.wav_path), model_cfg.strategy, model_cfg.hf_gain, utt_id=entry.utt_id
         )
+        conditions = condition_track(model_cfg, cond_source, pair.narrowband, entry.feature_path, entry.utt_id)
+        pairs.append(dataclasses.replace(pair, conditions=conditions))
     return pairs
 
 
@@ -316,7 +337,7 @@ def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
     inputs = np.full((batch, n_steps + lookahead), PAD_LEVEL, dtype=np.int32)
     targets = np.full((batch, n_steps), PAD_LEVEL, dtype=np.int32)
     mask = np.zeros((batch, n_steps), dtype=bool)
-    conditional = getattr(model_cfg, "conditional", False)
+    conditional = model_cfg.conditional
     conditions = None
     if conditional:
         n_frames = n_steps // multiple

@@ -16,6 +16,14 @@ _MU = 255.0
 _LOG_MU1 = np.log(1.0 + _MU)
 _LOG_FLOOR = 1e-10
 
+# MFCC analysis: 25 ms windows every 10 ms, 26 mel filters, 13 cepstra
+# plus their deltas and delta-deltas.
+MFCC_WINDOW_MS = 25.0
+MFCC_SHIFT_MS = 10.0
+MFCC_MEL_FILTERS = 26
+MFCC_CEPSTRA = 13
+MFCC_DIM = 3 * MFCC_CEPSTRA
+
 
 @dataclasses.dataclass(frozen=True)
 class Waveform:
@@ -79,45 +87,6 @@ class FirFilter:
     @property
     def group_delay_samples(self) -> int:
         return (len(self.taps) - 1) // 2
-
-
-@dataclasses.dataclass(frozen=True)
-class MfccConfig:
-    """Framing and filterbank parameters for MFCC extraction.
-
-    Defaults give 25 ms / 10 ms framing at 16 kHz; `for_sample_rate`
-    derives the same millisecond framing at other rates.
-    """
-
-    sample_rate_hz: int = 16000
-    frame_len_samples: int = 400
-    frame_shift_samples: int = 160
-    n_mel_filters: int = 26
-    n_cepstra: int = 13
-    include_deltas: bool = True
-
-    def __post_init__(self):
-        if self.frame_shift_samples > self.frame_len_samples:
-            raise ValueError("frame_shift_samples must not exceed frame_len_samples")
-        if self.n_cepstra > self.n_mel_filters:
-            raise ValueError("n_cepstra must not exceed n_mel_filters")
-
-    @classmethod
-    def for_sample_rate(cls, sample_rate_hz: int, **kwargs) -> "MfccConfig":
-        return cls(
-            sample_rate_hz=sample_rate_hz,
-            frame_len_samples=int(round(0.025 * sample_rate_hz)),
-            frame_shift_samples=int(round(0.010 * sample_rate_hz)),
-            **kwargs,
-        )
-
-    @property
-    def n_dims(self) -> int:
-        return self.n_cepstra * 3 if self.include_deltas else self.n_cepstra
-
-    @property
-    def window_ms(self) -> float:
-        return self.frame_len_samples * 1000.0 / self.sample_rate_hz
 
 
 @dataclasses.dataclass(frozen=True)
@@ -291,10 +260,12 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def frame_count(n_samples: int, frame_len: int, frame_shift: int) -> int:
-    if n_samples < frame_len:
-        return 0
-    return (n_samples - frame_len) // frame_shift + 1
+def frames(x: np.ndarray, frame_len: int, frame_shift: int) -> np.ndarray:
+    """Read-only view [n_frames, frame_len] of the whole frames of x, one
+    every frame_shift samples; none when x is shorter than one frame."""
+    if len(x) < frame_len:
+        return np.zeros((0, frame_len), dtype=x.dtype)
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::frame_shift]
 
 
 def stft(w: Waveform, frame_len: int, frame_shift: int) -> np.ndarray:
@@ -306,14 +277,11 @@ def stft(w: Waveform, frame_len: int, frame_shift: int) -> np.ndarray:
     """
     if frame_shift > frame_len:
         raise ValueError("frame_shift must not exceed frame_len")
-    x = w.samples
-    n_frames = frame_count(len(x), frame_len, frame_shift)
+    x = frames(w.samples, frame_len, frame_shift)
     nfft = _next_pow2(frame_len)
-    if n_frames == 0:
+    if len(x) == 0:
         return np.zeros((0, nfft // 2 + 1), dtype=np.complex128)
-    window = np.hanning(frame_len)
-    idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(n_frames)[:, None]
-    return np.fft.rfft(x[idx] * window, n=nfft, axis=1)
+    return np.fft.rfft(x * np.hanning(frame_len), n=nfft, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,30 +316,29 @@ def _deltas(c: np.ndarray) -> np.ndarray:
     return (padded[3:-1] - padded[1:-3] + 2.0 * (padded[4:] - padded[:-4])) / 10.0
 
 
-def mfcc(w: Waveform, cfg: MfccConfig | None = None) -> ConditionTrack:
-    """Mel-frequency cepstra with optional delta and delta-delta appended.
+def mfcc(w: Waveform) -> ConditionTrack:
+    """MFCC_CEPSTRA mel-frequency cepstra plus their deltas and
+    delta-deltas: MFCC_DIM dims per frame.
 
-    The returned track's frame shift is cfg.frame_shift_samples at the
-    waveform's own rate; too-short signals yield an empty track.
+    Frames are MFCC_WINDOW_MS long every MFCC_SHIFT_MS at the waveform's
+    own rate, and the track's frame shift is counted in those samples; a
+    signal shorter than one window yields an empty track.
     """
-    cfg = cfg or MfccConfig()
-    if w.sample_rate_hz != cfg.sample_rate_hz:
-        raise ValueError(
-            f"waveform rate {w.sample_rate_hz} does not match config rate {cfg.sample_rate_hz}"
-        )
-    spec = stft(w, cfg.frame_len_samples, cfg.frame_shift_samples)
+    rate = w.sample_rate_hz
+    frame_len = int(round(MFCC_WINDOW_MS * rate / 1000))
+    frame_shift = int(round(MFCC_SHIFT_MS * rate / 1000))
+    spec = stft(w, frame_len, frame_shift)
     if spec.shape[0] == 0:
-        return ConditionTrack(np.zeros((0, cfg.n_dims), dtype=np.float32), cfg.frame_shift_samples)
+        return ConditionTrack(np.zeros((0, MFCC_DIM), dtype=np.float32), frame_shift)
     power = np.abs(spec) ** 2
-    bank = mel_filterbank(cfg.n_mel_filters, _next_pow2(cfg.frame_len_samples), cfg.sample_rate_hz)
+    bank = mel_filterbank(MFCC_MEL_FILTERS, _next_pow2(frame_len), rate)
     logmel = np.log(power @ bank.T + _LOG_FLOOR)
     import scipy.fft  # here, not at the top: only MFCC needs scipy
 
-    cep = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_cepstra]
-    if cfg.include_deltas:
-        d1 = _deltas(cep)
-        cep = np.concatenate([cep, d1, _deltas(d1)], axis=1)
-    return ConditionTrack(cep.astype(np.float32), cfg.frame_shift_samples)
+    cep = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :MFCC_CEPSTRA]
+    d1 = _deltas(cep)
+    cep = np.concatenate([cep, d1, _deltas(d1)], axis=1)
+    return ConditionTrack(cep.astype(np.float32), frame_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +353,11 @@ def frame_vuv(w: Waveform, frame_len: int, frame_shift: int) -> np.ndarray:
     constant-energy signals stay classifiable, floored at -60 dB) and its
     zero-crossing rate is below 0.25. Deterministic.
     """
-    x = w.samples
-    n_frames = frame_count(len(x), frame_len, frame_shift)
-    if n_frames == 0:
+    x = frames(w.samples, frame_len, frame_shift)
+    if len(x) == 0:
         return np.zeros(0, dtype=bool)
-    idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(n_frames)[:, None]
-    frames = x[idx]
-    log_energy = 10.0 * np.log10(np.sum(frames**2, axis=1) + _LOG_FLOOR)
-    signs = np.sign(frames)
+    log_energy = 10.0 * np.log10(np.sum(x**2, axis=1) + _LOG_FLOOR)
+    signs = np.sign(x)
     zcr = np.mean(np.abs(np.diff(signs, axis=1)) > 0, axis=1)
     threshold = max(
         min(np.percentile(log_energy, 20.0) + 10.0, log_energy.max() - 10.0),

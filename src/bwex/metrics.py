@@ -106,18 +106,16 @@ def split_metrics(reference: Waveform, degraded: Waveform, voiced_flags: np.ndar
         raise ValueError(
             f"flag framing mismatch: {len(voiced_flags)} flags vs {per_frame_lsd.size} frames"
         )
+    ref_frames = dsp.frames(reference.samples, LSD_FRAME_LEN, LSD_FRAME_SHIFT)
+    deg_frames = dsp.frames(degraded.samples, LSD_FRAME_LEN, LSD_FRAME_SHIFT)
     out = {}
     for label, selector in (("v", voiced_flags), ("u", ~voiced_flags)):
         if not selector.any():
             out[f"snr_{label}"] = None
             out[f"lsd_{label}"] = None
             continue
-        ref_parts, deg_parts = [], []
-        for i in np.flatnonzero(selector):
-            sl = slice(i * LSD_FRAME_SHIFT, i * LSD_FRAME_SHIFT + LSD_FRAME_LEN)
-            ref_parts.append(reference.samples[sl])
-            deg_parts.append(degraded.samples[sl])
-        out[f"snr_{label}"] = _snr_samples(np.concatenate(ref_parts), np.concatenate(deg_parts))
+        # the class's frames laid end to end, overlaps counted twice
+        out[f"snr_{label}"] = _snr_samples(ref_frames[selector].ravel(), deg_frames[selector].ravel())
         out[f"lsd_{label}"] = float(per_frame_lsd[selector].mean())
     return out
 

@@ -87,6 +87,8 @@ class _SharedConfig:
 class SrnnConfig(_SharedConfig):
     """Plain sample-level model: embed -> 2 LSTM layers -> 2 FF layers."""
 
+    conditional = False  # no conditional tier
+
     # SRNN consumes raw sequences: no length constraints, no lookahead.
     @property
     def time_multiple(self) -> int:
@@ -447,7 +449,7 @@ class Hrnn(_Model):
                 h_seq, self.params[f"{name}.fanout.w"], self.params[f"{name}.fanout.b"]
             )
             if cache:
-                tier_caches[k] = {"x": x_k, "lstm_in": lstm_in, "lstm": lstm_cache, "h": h_seq}
+                tier_caches[k] = {"x": x_k, "lstm": lstm_cache}
 
         # Sample tier: the combine layer over concatenated embeddings is a
         # sum of one table lookup per slot (see `_sample_tables`).
@@ -496,7 +498,7 @@ class Hrnn(_Model):
             tier = cfg.tiers[k]
             name = f"tier{k + 1}"
             tc = tiers[k]
-            dw_fan, db_fan, dh = _fanout_backward(d_conditioning, tc["h"], self.params[f"{name}.fanout.w"])
+            dw_fan, db_fan, dh = _fanout_backward(d_conditioning, tc["lstm"].h, self.params[f"{name}.fanout.w"])
             grads[f"{name}.fanout.w"], grads[f"{name}.fanout.b"] = dw_fan, db_fan
             (dwx, dwh, db), dx, _, _ = nn.lstm_backward(self._lstm(f"{name}.lstm"), tc["lstm"], dh)
             grads[f"{name}.lstm.wx"], grads[f"{name}.lstm.wh"], grads[f"{name}.lstm.b"] = dwx, dwh, db

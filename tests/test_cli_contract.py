@@ -1,6 +1,7 @@
 """The CLI exit-code contract under random, short, empty and garbled
 inputs: every run ends in 0, 1, 2 or 3, never in an uncaught exception."""
 
+import contextlib
 import io
 import tempfile
 import wave
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bwex.cli import main  # noqa: E402
 from bwex.config import build_run_config  # noqa: E402
+from bwex.data import save_features  # noqa: E402
+from bwex.dsp import ConditionTrack  # noqa: E402
 from bwex.models import build_model  # noqa: E402
 from bwex.train import Checkpoint, save_checkpoint  # noqa: E402
 
@@ -45,10 +48,10 @@ def wav_bytes(samples, rate: int, n_channels: int = 1, sample_width: int = 2) ->
 
 
 @st.composite
-def input_files(draw):
-    """Valid WAVs of any length and a few rates, plus garbled variants."""
-    n = draw(st.integers(0, 1200))
-    rate = draw(st.sampled_from([8000, 16000, 11025]))
+def input_files(draw, lengths=st.integers(0, 1200), rates=(8000, 16000, 11025)):
+    """Valid WAVs of the drawn lengths and rates, plus garbled variants."""
+    n = draw(lengths)
+    rate = draw(st.sampled_from(rates))
     amplitude = draw(st.floats(0.0, 1.0))
     samples = amplitude * np.sin(np.arange(n) * draw(st.floats(0.01, 3.0)))
     layout = draw(st.sampled_from([(1, 2), (1, 2), (1, 2), (2, 2), (1, 1)]))
@@ -83,3 +86,60 @@ def test_every_command_honours_the_exit_contract(checkpoints, first, second, kin
         ]
         for argv in runs:
             assert main(argv) in CONTRACT, argv
+
+
+# Lengths 0 and 1, odd and even, and shorter than one MFCC window.
+TRAIN_LENGTHS = st.sampled_from([0, 1, 2, 3, 301, 302]) | st.integers(4, 2400)
+
+
+@st.composite
+def clean_wideband(draw):
+    n = draw(TRAIN_LENGTHS)
+    return wav_bytes(0.5 * np.sin(np.arange(n) * draw(st.floats(0.01, 3.0))), 16000)
+
+
+# A feature file: (n_frames, dim) of zeros at a 160-sample shift, where
+# 39 dims fit a chrnn's default tier, or raw bytes.
+FEATURE_FILES = st.tuples(st.integers(0, 8), st.sampled_from([39, 5])) | st.binary(max_size=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    utterances=st.lists(
+        st.tuples(
+            clean_wideband() | clean_wideband() | input_files(TRAIN_LENGTHS, rates=(16000, 8000)),
+            st.none() | FEATURE_FILES,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    kind=st.sampled_from(["hrnn", "srnn", "chrnn mfcc", "chrnn file"]),
+)
+def test_train_honours_the_exit_contract(utterances, kind):
+    kind, _, source = kind.partition(" ")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        lines = []
+        for i, (wav, features) in enumerate(utterances):
+            (tmp / f"u{i}.wav").write_bytes(wav)
+            line = f"u{i}\t{tmp / f'u{i}.wav'}"
+            if features is not None:
+                path = tmp / f"u{i}.bwef"
+                if isinstance(features, bytes):
+                    path.write_bytes(features)
+                else:
+                    save_features(path, ConditionTrack(np.zeros(features), 160))
+                line += f"\t{path}"
+            lines.append(line + "\n")
+        (tmp / "corpus.tsv").write_text("".join(lines))
+        text = f"model.kind = {kind}\nmodel.hidden = 8\nmodel.embed_dim = 4\n"
+        if source:
+            text += f"model.cond_source = {source}\n"
+        text += "train.max_epochs = 1\ntrain.patience = 1\ntrain.batch_size = 2\n"
+        text += f"data.train_manifest = {tmp / 'corpus.tsv'}\ndata.valid_manifest = {tmp / 'corpus.tsv'}\n"
+        (tmp / "c.cfg").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(tmp / "c.cfg"), "--out", str(tmp / "m.bweh")])
+        assert code in CONTRACT
+        assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1

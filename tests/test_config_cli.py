@@ -169,8 +169,8 @@ class TestConfigText:
         model = build_run_config("model.kind = chrnn").model_cfg
         track = narrowband_mfcc(synth_narrowband(800))
         assert (track.dim, track.frame_shift_samples) == (model.cond_dim, model.cond_frame_shift)
-        mfcc_cfg = dsp.MfccConfig.for_sample_rate(8000)  # the rate narrowband_mfcc reads
-        assert 1000 * mfcc_cfg.frame_len_samples / mfcc_cfg.sample_rate_hz == model.cond_window_ms
+        assert model.cond_window_ms == dsp.MFCC_WINDOW_MS  # the window narrowband_mfcc reads
+        assert (model.cond_dim, model.cond_frame_shift, model.cond_window_ms) == (39, 160, 25.0)
 
 
 # Config text as the serializer wrote it before `HrnnConfig` stored frame

@@ -1,6 +1,7 @@
 """Data-path tests: WAV and feature file formats, manifests, pair
 construction, batching, and TBPTT chunk/state-carry correctness."""
 
+import dataclasses
 import struct
 import wave
 
@@ -15,6 +16,7 @@ from bwex.data import (
     PaddedBatch,
     batch_iter,
     build_pair,
+    condition_track,
     load_features,
     load_manifest,
     load_pairs,
@@ -181,8 +183,9 @@ class TestBuildPair:
             build_pair(synth_wideband(), strategy="xx")
 
     def test_mfcc_conditions_attached(self):
-        pair = build_pair(synth_wideband(3200), conditions="mfcc")
-        assert pair.conditions is not None
+        pair = build_pair(synth_wideband(3200))
+        track = condition_track(tiny_cfg(cond_frame_shift=160, cond_dim=39), "mfcc", pair.narrowband, None, "u")
+        pair = dataclasses.replace(pair, conditions=track)
         assert pair.conditions.dim == 39
         assert pair.conditions.frame_shift_samples == 160
 
@@ -246,7 +249,7 @@ class TestBatching:
 
     def test_conditional_batch_carries_frames(self):
         cfg = tiny_cfg(cond_frame_shift=160, cond_dim=39)
-        pairs = self.make_pairs([400, 700], conditions="mfcc")
+        pairs = [dataclasses.replace(p, conditions=narrowband_mfcc(p.narrowband)) for p in self.make_pairs([400, 700])]
         batch = make_batch(pairs, cfg)
         assert batch.conditions is not None
         assert batch.conditions.shape == (2, batch.n_steps // 160, 39)
@@ -333,13 +336,16 @@ class TestLoadPairs:
     def test_manifest_to_pairs_with_features(self, tmp_path):
         for i in range(2):
             save_wav(tmp_path / f"u{i}.wav", synth_wideband(800, seed=i))
-        track = narrowband_mfcc(synth_wideband(800, seed=0))
+        track = ConditionTrack(np.random.default_rng(0).standard_normal((5, 39)), 160)
         save_features(tmp_path / "u0.bwef", track)
         man = tmp_path / "m.tsv"
         man.write_text("u0\tu0.wav\tu0.bwef\nu1\tu1.wav\n")
         manifest = load_manifest(man)
-        pairs = load_pairs(manifest, tiny_cfg())
-        assert pairs[0].conditions is not None
-        assert pairs[1].conditions is None
-        pairs_mfcc = load_pairs(manifest, tiny_cfg(), mfcc_conditions=True)
-        assert pairs_mfcc[1].conditions is not None
+        # A model without a conditional tier reads no feature file.
+        assert [p.conditions for p in load_pairs(manifest, tiny_cfg())] == [None, None]
+        chrnn = tiny_cfg(cond_frame_shift=160, cond_dim=39)
+        pairs_mfcc = load_pairs(manifest, chrnn, "mfcc")
+        np.testing.assert_array_equal(pairs_mfcc[0].conditions.frames, track.frames)  # a file beats mfcc
+        np.testing.assert_array_equal(pairs_mfcc[1].conditions.frames, narrowband_mfcc(pairs_mfcc[1].narrowband).frames)
+        with pytest.raises(DataError, match="u1: the conditional tier needs a feature file"):
+            load_pairs(manifest, chrnn, "file")

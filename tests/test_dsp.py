@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bwex.dsp import (
+    MFCC_DIM,
     ConditionTrack,
     FirFilter,
-    MfccConfig,
     Waveform,
     QuantizedWaveform,
     apply_filter,
@@ -17,6 +17,7 @@ from bwex.dsp import (
     encode_levels,
     expand_amplitude,
     frame_vuv,
+    frames,
     make_hf_target,
     mel_filterbank,
     mfcc,
@@ -25,6 +26,7 @@ from bwex.dsp import (
     stft,
     upsample2,
 )
+from bwex.dsp import _deltas
 
 
 def sine(freq, n, rate, amp=0.5, fade=True):
@@ -321,38 +323,40 @@ class TestStft:
 
 class TestMfcc:
     def test_dims_with_and_without_deltas(self):
-        w = sine(440, 16000, 16000)
-        assert mfcc(w, MfccConfig(include_deltas=False)).dim == 13
-        assert mfcc(w, MfccConfig(include_deltas=True)).dim == 39
+        # 13 static cepstra, then their deltas, then the deltas of those
+        track = mfcc(sine(440, 16000, 16000))
+        assert track.dim == MFCC_DIM == 39
+        static, d1, d2 = np.split(track.frames, 3, axis=1)
+        d1_want = _deltas(static.astype(np.float64))
+        np.testing.assert_allclose(d1, d1_want, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(d2, _deltas(d1_want), rtol=1e-4, atol=1e-4)
 
     def test_frame_count_one_second(self):
-        track = mfcc(sine(440, 16000, 16000), MfccConfig())
+        track = mfcc(sine(440, 16000, 16000))
         assert track.n_frames == 98
         assert track.frame_shift_samples == 160
 
     def test_narrowband_rate_framing(self):
-        cfg = MfccConfig.for_sample_rate(8000)
-        assert (cfg.frame_len_samples, cfg.frame_shift_samples) == (200, 80)
-        track = mfcc(sine(440, 8000, 8000), cfg)
-        assert track.n_frames == 98 and track.dim == 39
+        # the same 25 ms / 10 ms framing at 8 kHz: 200 / 80 samples
+        track = mfcc(sine(440, 8000, 8000))
+        assert track.n_frames == (8000 - 200) // 80 + 1 == 98
+        assert track.dim == 39 and track.frame_shift_samples == 80
+        assert mfcc(Waveform(np.zeros(199), 8000)).n_frames == 0
+        assert mfcc(Waveform(np.zeros(200), 8000)).n_frames == 1
 
     def test_silence_gives_constant_frames(self):
-        track = mfcc(Waveform(np.zeros(16000), 16000), MfccConfig())
+        track = mfcc(Waveform(np.zeros(16000), 16000))
         expected = np.broadcast_to(track.frames[0], track.frames.shape)
         np.testing.assert_allclose(track.frames, expected, atol=1e-6)
 
     def test_too_short_signal_empty(self):
-        track = mfcc(Waveform(np.zeros(100), 16000), MfccConfig())
+        track = mfcc(Waveform(np.zeros(100), 16000))
         assert track.n_frames == 0 and track.dim == 39
-
-    def test_rate_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mfcc(sine(440, 8000, 8000), MfccConfig(sample_rate_hz=16000))
 
     def test_pure(self):
         w = sine(440, 16000, 16000)
-        a = mfcc(w, MfccConfig())
-        b = mfcc(w, MfccConfig())
+        a = mfcc(w)
+        b = mfcc(w)
         np.testing.assert_array_equal(a.frames, b.frames)
 
     def test_filterbank_covers_spectrum(self):
@@ -361,11 +365,37 @@ class TestMfcc:
         # Interior bins are covered by at least one filter.
         assert np.all(bank[:, 5:-5].sum(axis=0) > 0)
 
-    def test_config_invariants(self):
-        with pytest.raises(ValueError):
-            MfccConfig(frame_len_samples=100, frame_shift_samples=200)
-        with pytest.raises(ValueError):
-            MfccConfig(n_mel_filters=10, n_cepstra=13)
+
+def index_frames(x, frame_len, frame_shift):
+    """Oracle: the frame matrix gathered through an index matrix."""
+    n_frames = max(0, (len(x) - frame_len) // frame_shift + 1)
+    idx = np.arange(frame_len)[None, :] + frame_shift * np.arange(n_frames)[:, None]
+    return x[idx]
+
+
+class TestFrames:
+    @pytest.mark.parametrize("frame_len, frame_shift", [(512, 256), (400, 160), (200, 80)])
+    @pytest.mark.parametrize("n", [0, 100, 199, 200, 511, 512, 513, 4000, 48123])
+    def test_frames_match_the_index_oracle(self, n, frame_len, frame_shift):
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        got = frames(x, frame_len, frame_shift)
+        want = index_frames(x, frame_len, frame_shift)
+        assert got.shape == want.shape == (len(want), frame_len)
+        np.testing.assert_array_equal(got, want)
+        # The windowed spectra and frame energies built on them are
+        # bit-identical to those built on the gathered frames.
+        window = np.hanning(frame_len)
+        nfft = 1 << (frame_len - 1).bit_length()
+        np.testing.assert_array_equal(
+            stft(Waveform(x, 16000), frame_len, frame_shift), np.fft.rfft(want * window, n=nfft, axis=1)
+        )
+        np.testing.assert_array_equal(np.sum(got**2, axis=1), np.sum(want**2, axis=1))
+
+    def test_frames_are_a_read_only_view(self):
+        x = np.arange(10.0)
+        view = frames(x, 4, 3)
+        assert np.shares_memory(view, x) and not view.flags.writeable
+        np.testing.assert_array_equal(view, [[0, 1, 2, 3], [3, 4, 5, 6], [6, 7, 8, 9]])
 
 
 class TestFrameVuv:

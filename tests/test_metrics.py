@@ -295,6 +295,39 @@ class TestReports:
         assert build_report(rows).ci95["snr"] == expected
 
 
+def eval_outputs(root: Path) -> tuple[bytes, str]:
+    """The CSV and text table `bwex eval` writes for three utterance pairs
+    of mixed length, each with voiced and unvoiced frames."""
+    from bwex.cli import main
+
+    (root / "ref").mkdir()
+    (root / "deg").mkdir()
+    rng = np.random.default_rng(40)
+    for i, n in enumerate([513, 4000, 48123]):
+        t = np.arange(n) / 16000
+        x = 0.3 * np.sin(2 * np.pi * 300 * t) * (np.sin(2 * np.pi * 3 * t) > 0) + 0.05 * i * rng.standard_normal(n)
+        save_wav(root / "ref" / f"u{i}.wav", Waveform(x, 16000))
+        save_wav(root / "deg" / f"u{i}.wav", Waveform(x + 0.02 * rng.standard_normal(n), 16000))
+    assert main(["eval", "--ref", str(root / "ref"), "--deg", str(root / "deg"), "--report", str(root / "r.csv")]) == 0
+    return (root / "r.csv").read_bytes(), str(root)
+
+
+# sha256 of the report and of the printed table, taken before the STFT,
+# the V/UV gate and the split SNRs shared one framing helper.
+EVAL_GOLDEN = (
+    "fee19cd47f50b5ca8984fa4b3d32eb7adcfcef57676940303b2e59b292f4403d",
+    "4fcc964eb15ebd81e01dccebd3477469b40091e371b829d0a5a017839793f906",
+)
+
+
+def test_eval_report_is_pinned(tmp_path, capsys):
+    import hashlib
+
+    csv, root = eval_outputs(tmp_path)
+    table = capsys.readouterr().out.replace(root, "")
+    assert (hashlib.sha256(csv).hexdigest(), hashlib.sha256(table.encode()).hexdigest()) == EVAL_GOLDEN
+
+
 # ---------------------------------------------------------------------------
 # Import graph: only MFCC and eval's ci95 load scipy, and only when called
 # ---------------------------------------------------------------------------

@@ -230,9 +230,9 @@ class TestHrnnForward:
         padded, _, mask = pad_for_model(np.arange(160) % 256, cfg)
         _, cache, _ = model.forward(padded[None])
         n_steps = len(mask)
-        assert cache["tiers"][2]["h"].shape[1] == n_steps // 16
-        assert cache["tiers"][1]["h"].shape[1] == n_steps // 4
-        assert cache["tiers"][1]["lstm_in"].shape[1] == n_steps // 4
+        assert cache["tiers"][2]["lstm"].h.shape[1] == n_steps // 16
+        assert cache["tiers"][1]["lstm"].h.shape[1] == n_steps // 4
+        assert cache["tiers"][1]["lstm"].x.shape[1] == n_steps // 4
 
     def test_receptive_field_bound(self):
         # Randomized perturbation: changing the input at p leaves every
@@ -295,7 +295,7 @@ class TestFoldedSampleTier:
         f = np.concatenate([vectors[:, j : j + n_steps] for j in range(n_concat)], axis=2)
         combined = nn.affine(nn.AffineParams(model.params["tier1.combine.w"], model.params["tier1.combine.b"]), f)
         conditioning = conditioning_fanout(
-            cache["tiers"][1]["h"], model.params["tier2.fanout.w"], model.params["tier2.fanout.b"]
+            cache["tiers"][1]["lstm"].h, model.params["tier2.fanout.w"], model.params["tier2.fanout.b"]
         )
         got = cache["tiers"][0]["i"]
         assert got.dtype == dtype and got.shape == (3, n_steps, 16)
