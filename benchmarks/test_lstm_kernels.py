@@ -11,6 +11,12 @@ desk-scale sequence. `test_lstm_forward_inference` runs the uncached
 forward that `generate` and `validate` use. Each benchmark's `extra_info`
 holds the time per step of its fastest round and the tracemalloc peak of
 one untimed call.
+
+`test_recurrent_product` times one step's recurrent product [4H, H] x
+[H, B] in its former form (a transposed view of [B, H] rows) and in the
+form `lstm_forward` uses (a C-ordered [H, B] operand, row-blocked under
+`nn.SMALL_GEMM_MNK`), alternately in one process, so drift on a shared
+host falls on both. `extra_info` holds both medians and their ratio.
 """
 
 import os
@@ -21,6 +27,8 @@ if "numpy" in sys.modules and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import statistics  # noqa: E402
+import time  # noqa: E402
 import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -29,6 +37,7 @@ import pytest  # noqa: E402
 from bwex import nn  # noqa: E402
 
 CASES = [(1024, 1, 300), (256, 4, 120), (256, 2, 1200), (32, 1, 4000)]
+PRODUCT_CASES = [(256, 2), (256, 4), (1024, 4)]
 
 
 def _case(hidden, batch, steps):
@@ -73,3 +82,49 @@ def test_lstm_backward(benchmark, hidden, batch, steps):
     p, x, h0, dh_seq = _case(hidden, batch, steps)
     _, _, cache = nn.lstm_forward(p, x, h0, h0)
     _run(benchmark, lambda: nn.lstm_backward(p, cache, dh_seq), steps)
+
+
+def _seconds_per_call(fn, calls: int) -> float:
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - start) / calls
+
+
+@pytest.mark.parametrize("hidden, batch", PRODUCT_CASES)
+def test_recurrent_product(benchmark, hidden, batch):
+    rng = np.random.default_rng(0)
+    weights = nn.LstmParams.create(hidden, hidden, rng).recurrent_weights
+    h_rows = rng.standard_normal((batch, hidden)).astype(np.float32)
+    h_cols = np.ascontiguousarray(h_rows.T)
+    former_g = np.empty((4 * hidden, batch), np.float32)
+    g = np.empty_like(former_g)
+    products = [(weights[rows], g[rows]) for rows in nn._row_slices(4 * hidden, batch, hidden)]
+
+    def former():
+        weights.dot(h_rows.T, former_g)
+
+    def blocked():
+        for weight_rows, g_rows in products:
+            weight_rows.dot(h_cols, g_rows)
+
+    former()
+    blocked()
+    np.testing.assert_allclose(g, former_g, rtol=1e-5, atol=1e-5)
+    calls = max(1, int(2e8 // (8 * hidden * hidden * batch)))  # about 0.1 s per round at 2 GFLOP/s
+    former_s, blocked_s = [], []
+    for _ in range(7):
+        former_s.append(_seconds_per_call(former, calls))
+        blocked_s.append(_seconds_per_call(blocked, calls))
+    former_us, blocked_us = statistics.median(former_s) * 1e6, statistics.median(blocked_s) * 1e6
+    benchmark.extra_info.update(
+        row_blocks=len(products),
+        former_us=round(former_us, 2),
+        blocked_us=round(blocked_us, 2),
+        former_over_blocked=round(former_us / blocked_us, 2),
+    )
+    print(
+        f"\nh={hidden} B={batch}: former {former_us:.1f} us, "
+        f"{len(products)} row blocks {blocked_us:.1f} us, ratio {former_us / blocked_us:.2f}"
+    )
+    benchmark.pedantic(blocked, rounds=5, iterations=calls, warmup_rounds=1)

@@ -100,6 +100,35 @@ def _split_gates(z, hidden):
     return z[..., :hidden], z[..., hidden : 2 * hidden], z[..., 2 * hidden : 3 * hidden], z[..., 3 * hidden :]
 
 
+# OpenBLAS runs a GEMM of at most 10^6 multiply-adds (M·N·K) on its
+# small-matrix kernel, which reads C-ordered operands in place. A larger
+# GEMM, or one whose right operand is a transposed view of [B, H] rows,
+# goes through the packed path, and at a few columns the packing costs
+# more than the product. The recurrent product [4H, H] x [H, B], BLAS on
+# 1 thread, 2-vCPU Xeon guest:
+#
+#   h     B   [B, H] rows, transposed   C-ordered [H, B]   C-ordered, row blocks
+#   256   2   97 µs                     18 µs              -
+#   256   4   98 µs                     104 µs             37 µs (2 blocks)
+#   1024  4   2.65 ms                   2.68 ms            1.03 ms (17 blocks)
+#
+# At B = 1 every form is the same matrix-vector call (0.82 ms at h=1024).
+SMALL_GEMM_MNK = 10**6
+
+
+def _row_slices(rows: int, cols: int, inner: int) -> list:
+    """Slices that split the rows of a product [rows, inner] x [inner, cols]
+    into the fewest near-equal blocks of at most SMALL_GEMM_MNK
+    multiply-adds each. At cols = 1 the product is one matrix-vector call
+    and stays whole."""
+    if cols == 1:
+        return [slice(0, rows)]
+    max_rows = max(1, SMALL_GEMM_MNK // (cols * inner))
+    n_blocks = -(-rows // max_rows)
+    edges = [i * rows // n_blocks for i in range(n_blocks + 1)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
 @dataclasses.dataclass
 class LstmCache:
     x: np.ndarray        # [B, T, n_in]
@@ -117,9 +146,11 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     Returns (h_seq [B, T, H], (h_last, c_last), cache). A step allocates
     no buffer: it works in one reused gate-major gate buffer [4H, B],
     whose i, f, g and o blocks are contiguous, and in [H, B] buffers for
-    c and tanh(c), and writes h straight into its [B, H] output row. Only
-    with `cache` does it copy the gates, c and tanh(c) into the [B, T, .]
-    rows that `lstm_backward` reads. Without it the cache is None.
+    c and tanh(c), and writes h into its C-ordered [H, B] slot of a
+    step-major [T, H, B] buffer, the right operand of the next step's
+    recurrent product. Only with `cache` does it copy the gates, c and
+    tanh(c) into the [B, T, .] rows that `lstm_backward` reads. Without
+    it the cache is None.
     """
     _check_last_dim("lstm_forward", x, p.input_weights.shape[1])
     batch, steps, _ = x.shape
@@ -128,11 +159,7 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
         raise ShapeError(f"lstm_forward: states {h0.shape}/{c0.shape} do not match (batch, hidden) = {(batch, hidden)}")
     x_proj = x @ p.input_weights.T  # hoisted: one big matmul
     x_proj += p.biases
-    # The hidden rows stay [B, H], step-major so each is contiguous, and
-    # the recurrent product reads them through a transposed view: np.dot
-    # on a C-ordered [H, B] operand, or on strided rows, sums in another
-    # order than @ (float64, B > 1).
-    h_steps = np.empty((steps, batch, hidden), dtype=x.dtype)
+    h_steps = np.empty((steps, hidden, batch), dtype=x.dtype)
     g = np.empty((4 * hidden, batch), dtype=x.dtype)
     gi, gf, gg, go = np.split(g, 4)  # contiguous [H, B] blocks
     # The logistic is 1/2 + tanh(z/2)/2, so one tanh pass serves all four
@@ -150,19 +177,22 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
         gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
         c_seq = np.empty((batch, steps, hidden), dtype=x.dtype)
         tanh_c = np.empty_like(c_seq)
+    # Weight on the left and a C-ordered [H, B] hidden operand, split into
+    # row blocks under SMALL_GEMM_MNK at B > 1; `dot` writes each block
+    # straight into its rows of g, without the np.dot dispatcher or a
+    # result array.
     weights = p.recurrent_weights
+    products = [(weights[rows], g[rows]) for rows in _row_slices(4 * hidden, batch, hidden)]
     # At h=32, B=1 a step is a few µs of small-array calls, so the loop
     # binds the ufuncs locally and passes `out` by position: each saves
     # about 0.1 µs a call against a module lookup or the `out=` keyword.
     tanh, multiply = np.tanh, np.multiply
-    h_t = h0.T.astype(x.dtype, copy=False)  # the product must come out in g's dtype
-    # Per step, x_t is a [4H, B] view of x_proj and h_next an [H, B] view
-    # of the next hidden row.
-    for t, (x_t, h_next) in enumerate(zip(x_proj.transpose(1, 2, 0), h_steps.transpose(0, 2, 1))):
-        # Weight on the left: OpenBLAS runs this product 2-3x faster than
-        # h @ W.T at 2 <= B <= 8, and identically at B = 1. The method
-        # writes into g without the np.dot dispatcher or a result array.
-        weights.dot(h_t, g)
+    h_t = np.ascontiguousarray(h0.T, dtype=x.dtype)  # the product must come out in g's dtype
+    # Per step, x_t is a [4H, B] view of x_proj and h_next the [H, B] slot
+    # of the next hidden state.
+    for t, (x_t, h_next) in enumerate(zip(x_proj.transpose(1, 2, 0), h_steps)):
+        for weight_rows, g_rows in products:
+            weight_rows.dot(h_t, g_rows)
         g += x_t
         g *= scale
         tanh(g, g)  # saturates without overflow
@@ -176,7 +206,7 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
             gates[:, t] = g.T
             c_seq[:, t] = c.T
             tanh_c[:, t] = tc.T
-    h_seq = np.ascontiguousarray(h_steps.swapaxes(0, 1))  # no copy at B = 1
+    h_seq = np.ascontiguousarray(h_steps.transpose(2, 0, 1))  # no copy at B = 1
     lstm_cache = LstmCache(x, h0, c0, h_seq, c_seq, gates, tanh_c) if cache else None
     return h_seq, (h_seq[:, -1].copy(), c.T), lstm_cache
 
@@ -190,7 +220,7 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
     batch, steps, hidden = cache.h.shape
     # Every gate derivative is (dc or dh) times a factor of the cached
     # forward alone, so the factors are computed for the whole sequence
-    # before the loop: dz_seq holds them, the loop scales them in place.
+    # before the loop: dz_seq holds them, the loop scales them.
     gi, gf, gg, go = _split_gates(cache.gates, hidden)
     tc = cache.tanh_c
     dz_seq = np.empty_like(cache.gates)
@@ -215,13 +245,40 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
     weights = p.recurrent_weights
     dh_next = np.zeros((batch, hidden), dtype=dh_seq.dtype)
     dc_next = np.zeros_like(dh_next)
+    # dh_next = W^T dz. Unsplit (always at B = 1, where it is one
+    # matrix-vector call) it stays the product `dz @ W` on the stored
+    # weights, with the same bits. Split into row blocks (see
+    # SMALL_GEMM_MNK) it needs C-ordered operands: one copy of W^T per
+    # call, about 0.3 ms at h=256, and gate-major [4H, B] and [H, B]
+    # buffers for dz and the result. (Column blocks of the stored W need
+    # no copy, but at h=1024 their 4 KB row stride keeps the product at
+    # 7-10 ms against 1.1 ms.) A split step scales the factors into dz
+    # through [B, .] views of it, reading dz_seq rows in order, and copies
+    # them back for the weight gradients.
+    slices = _row_slices(hidden, batch, 4 * hidden)
+    split = len(slices) > 1
+    if split:
+        weights_t = np.ascontiguousarray(weights.T)
+        dz = np.empty((4 * hidden, batch), dtype=dh_seq.dtype)
+        dz_gates = dz.reshape(4, hidden, batch)
+        dz_cell_rows, dzo_rows = dz_gates[:3].transpose(2, 0, 1), dz_gates[3].T
+        dh_cols = np.empty((hidden, batch), dtype=dh_seq.dtype)
+        products = [(weights_t[rows], dh_cols[rows]) for rows in slices]
     for t in range(steps - 1, -1, -1):
         dh = dh_seq[:, t] + dh_next
         dc = dh * dh_to_dc[:, t]
         dc += dc_next
-        dz_cell[:, t] *= dc[:, None]
-        dzo[:, t] *= dh
-        dh_next = dz_seq[:, t] @ weights
+        if split:
+            np.multiply(dz_cell[:, t], dc[:, None], dz_cell_rows)
+            np.multiply(dzo[:, t], dh, dzo_rows)
+            dz_seq[:, t] = dz.T
+            for weight_rows, dh_rows in products:
+                weight_rows.dot(dz, dh_rows)
+            dh_next[...] = dh_cols.T
+        else:
+            dz_cell[:, t] *= dc[:, None]
+            dzo[:, t] *= dh
+            np.matmul(dz_seq[:, t], weights, dh_next)
         dc_next = dc * gf[:, t]
     dz2 = dz_seq.reshape(-1, 4 * hidden)
     d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
@@ -286,14 +343,16 @@ def softmax_ce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     if n_valid == 0:
         warnings.warn("softmax_ce: all positions masked; loss defined as 0", stacklevel=2)
         return 0.0, np.zeros_like(logits)
+    # Two [N, V] temporaries: the shifted logits, and their exp, which is
+    # divided in place into the softmax. The log-probability is formed
+    # only at the targets.
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=-1, keepdims=True)
-    log_prob = shifted - np.log(denom)
+    dlogits = np.exp(shifted)
+    denom = dlogits.sum(axis=-1, keepdims=True)
     rows = np.arange(len(targets))
-    losses = -log_prob[rows, targets] * mask
+    losses = -(shifted[rows, targets] - np.log(denom)[:, 0]) * mask
     loss = float(losses.sum() / n_valid)
-    dlogits = exp / denom
+    dlogits /= denom
     dlogits[rows, targets] -= 1.0
     dlogits *= (mask / n_valid)[:, None].astype(logits.dtype)
     return loss, dlogits

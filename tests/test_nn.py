@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from bwex import nn
 from bwex.nn import (
     AdamState,
     AffineParams,
@@ -230,15 +231,22 @@ class TestLstm:
                 np.testing.assert_allclose(gflat[i], (lp - lm) / (2 * h), atol=1e-6)
 
 
+def _gate_major_product(weights, h):
+    """W h on a C-ordered [H, B] h, the operand `lstm_forward` passes, as
+    [B, 4H] rows."""
+    return (weights @ np.ascontiguousarray(h.T)).T
+
+
 def _reference_lstm_forward(p, x, h0, c0):
-    """The per-step loop lstm_forward ran before its recurrent product took
-    the weight as the left operand: gates from h @ W.T, then the cell."""
+    """The textbook per-step loop: gates from the recurrent product W h on
+    a C-ordered [H, B] h, the operand `lstm_forward` passes, then the cell."""
     rows = _reference_lstm_rows(p, x, h0, c0)
     return rows["h"], rows["c"]
 
 
-def _reference_lstm_rows(p, x, h0, c0):
-    """Every row the reference loop forms: h, c, gates and tanh(c)."""
+def _reference_lstm_rows(p, x, h0, c0, product=_gate_major_product):
+    """Every row the reference loop forms: h, c, gates and tanh(c).
+    `product(W, h)` gives the recurrent term as [B, 4H] rows."""
     hidden = p.hidden
     x_proj = x @ p.input_weights.T + p.biases
     h_seq = np.empty(x.shape[:2] + (hidden,), dtype=x.dtype)
@@ -247,7 +255,7 @@ def _reference_lstm_rows(p, x, h0, c0):
     gates = np.empty(x.shape[:2] + (4 * hidden,), dtype=x.dtype)
     h, c = h0, c0
     for t in range(x.shape[1]):
-        z = h @ p.recurrent_weights.T
+        z = product(p.recurrent_weights, h)
         z += x_proj[:, t]
         g = logistic(z)
         g[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
@@ -381,6 +389,52 @@ class TestLstmKernels:
         for name, value in before.items():
             np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_row_blocked_sizes_match_the_row_product(self, dtype, rtol):
+        # At h=256, B=4 both the forward's [4H, H] and the backward's
+        # [H, 4H] recurrent product split into two row blocks.
+        rng = np.random.default_rng(256)
+        batch, hidden, n_in, steps = 4, 256, 16, 6
+        assert len(nn._row_slices(4 * hidden, batch, hidden)) == 2
+        assert len(nn._row_slices(hidden, batch, 4 * hidden)) == 2
+        p = LstmParams.create(hidden, n_in, rng, dtype=dtype)
+        x = rng.standard_normal((batch, steps, n_in)).astype(dtype)
+        h0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        c0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        dh_seq = rng.standard_normal((batch, steps, hidden)).astype(dtype)
+        _, _, cache = lstm_forward(p, x, h0, c0)
+        ref = _reference_lstm_rows(p, x, h0, c0, product=lambda w, h: h @ w.T)
+        got = lstm_backward(p, cache, dh_seq)
+        want = _reference_lstm_backward(p, cache, dh_seq)
+        pairs = [(name, getattr(cache, name), ref[name]) for name in ("h", "c", "gates", "tanh_c")]
+        pairs += zip(["dWx", "dWh", "db", "dx", "dh0", "dc0"], [*got[0], *got[1:]], [*want[0], *want[1:]])
+        for name, g, w in pairs:
+            assert g.shape == w.shape and g.dtype == w.dtype, name
+            atol = rtol * float(np.abs(w).max())
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "rows, cols, inner, n_blocks",
+        [
+            (1024, 1, 256, 1),
+            (4096, 1, 1024, 1),
+            (1024, 2, 256, 1),
+            (1024, 4, 256, 2),
+            (256, 4, 1024, 2),
+            (1024, 8, 256, 3),
+            (4096, 4, 1024, 17),
+        ],
+    )
+    def test_row_slices_are_the_fewest_within_the_bound(self, rows, cols, inner, n_blocks):
+        slices = nn._row_slices(rows, cols, inner)
+        assert len(slices) == n_blocks
+        sizes = [s.stop - s.start for s in slices]
+        assert max(sizes) - min(sizes) <= 1
+        assert [s.start for s in slices[1:]] == [s.stop for s in slices[:-1]]
+        assert slices[0].start == 0 and slices[-1].stop == rows
+        if cols > 1:
+            assert max(sizes) * cols * inner <= nn.SMALL_GEMM_MNK
+
 
 class TestLstmInference:
     """`cache=False` runs the same step body and keeps no [B, T, .] cache."""
@@ -411,10 +465,11 @@ class TestLstmInference:
             np.testing.assert_array_equal(getattr(cached, name), ref[name], err_msg=name)
 
     @pytest.mark.parametrize("cache", [False, True])
-    @pytest.mark.parametrize("hidden, n_in", [(32, 32), (8, 3)])
+    @pytest.mark.parametrize("hidden, n_in", [(32, 32), (8, 3), (1024, 1024)])
     def test_b1_equals_the_former_step_body_on_real_data(self, hidden, n_in, cache):
         # Non-dyadic float32 data as `generate` sees it: every rounding of
         # the former [B, 4H] step body must be repeated, not only exact sums.
+        # At h=1024 a split of the matrix-vector product would show.
         rng = np.random.default_rng(hidden + n_in)
         p = LstmParams.create(hidden, n_in, rng)
         p.biases[...] = rng.standard_normal(4 * hidden)
@@ -482,7 +537,37 @@ class TestEmbedding:
             EmbeddingTable(np.zeros((255, 4)))
 
 
+def _former_softmax_ce(logits, targets, mask):
+    """The body `softmax_ce` ran with four [N, V] temporaries."""
+    n_valid = int(mask.sum())
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=-1, keepdims=True)
+    log_prob = shifted - np.log(denom)
+    rows = np.arange(len(targets))
+    losses = -log_prob[rows, targets] * mask
+    loss = float(losses.sum() / n_valid)
+    dlogits = exp / denom
+    dlogits[rows, targets] -= 1.0
+    dlogits *= (mask / n_valid)[:, None].astype(logits.dtype)
+    return loss, dlogits
+
+
 class TestSoftmaxCe:
+    def test_equals_the_former_body_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        logits = (rng.standard_normal((512, 256)) * 4).astype(np.float32)
+        targets = rng.integers(0, 256, 512)
+        mask = rng.random(512) < 0.8
+        loss, dlogits = softmax_ce(logits, targets, mask)
+        want_loss, want_dlogits = _former_softmax_ce(logits, targets, mask)
+        assert loss == want_loss
+        assert dlogits.dtype == want_dlogits.dtype == np.float32
+        np.testing.assert_array_equal(dlogits, want_dlogits)
+        with pytest.warns(UserWarning):
+            loss, dlogits = softmax_ce(logits, targets, np.zeros(512, bool))
+        assert loss == 0.0 and dlogits.dtype == np.float32 and not dlogits.any()
+
     def test_uniform_logits(self):
         logits = np.zeros((3, 256))
         loss, _ = softmax_ce(logits, np.array([0, 100, 255]), np.ones(3, bool))
