@@ -12,11 +12,15 @@ forward that `generate` and `validate` use. Each benchmark's `extra_info`
 holds the time per step of its fastest round and the tracemalloc peak of
 one untimed call.
 
-`test_recurrent_product` times one step's recurrent product [4H, H] x
-[H, B] in its former form (a transposed view of [B, H] rows) and in the
-form `lstm_forward` uses (a C-ordered [H, B] operand, row-blocked under
-`nn.SMALL_GEMM_MNK`), alternately in one process, so drift on a shared
-host falls on both. `extra_info` holds both medians and their ratio.
+`test_recurrent_product` times one step's recurrent products in their
+former forms and in the forms `lstm_forward` and `lstm_backward` use,
+alternately in one process, so drift on a shared host falls on both.
+Forward, [4H, H] x [H, B]: a transposed view of [B, H] rows against a
+C-ordered [H, B] operand, row-blocked under `nn.SMALL_GEMM_MNK` for
+B <= `nn.SMALL_GEMM_MAX_COLS`. Backward, `dz @ W` against row blocks of
+a C-ordered copy of W^T where the product splits; the copy, made once
+per `lstm_backward` call, is timed apart. `extra_info` holds the medians
+and the former-over-new ratios.
 """
 
 import os
@@ -37,7 +41,7 @@ import pytest  # noqa: E402
 from bwex import nn  # noqa: E402
 
 CASES = [(1024, 1, 300), (256, 4, 120), (256, 2, 1200), (32, 1, 4000)]
-PRODUCT_CASES = [(256, 2), (256, 4), (1024, 4)]
+PRODUCT_CASES = [(256, 2), (256, 4), (256, 64), (1024, 4), (1024, 8), (1024, 64)]
 
 
 def _case(hidden, batch, steps):
@@ -97,34 +101,64 @@ def test_recurrent_product(benchmark, hidden, batch):
     weights = nn.LstmParams.create(hidden, hidden, rng).recurrent_weights
     h_rows = rng.standard_normal((batch, hidden)).astype(np.float32)
     h_cols = np.ascontiguousarray(h_rows.T)
+    dz_rows = rng.standard_normal((batch, 4 * hidden)).astype(np.float32)
+    dz_cols = np.ascontiguousarray(dz_rows.T)
     former_g = np.empty((4 * hidden, batch), np.float32)
     g = np.empty_like(former_g)
-    products = [(weights[rows], g[rows]) for rows in nn._row_slices(4 * hidden, batch, hidden)]
+    former_dh = np.empty((batch, hidden), np.float32)
+    dh_cols = np.empty((hidden, batch), np.float32)
+    forward_blocks = [(weights[rows], g[rows]) for rows in nn._row_slices(4 * hidden, batch, hidden)]
+    backward_slices = nn._row_slices(hidden, batch, 4 * hidden)
+    split = len(backward_slices) > 1
+    weights_t = np.ascontiguousarray(weights.T)
+    backward_blocks = [(weights_t[rows], dh_cols[rows]) for rows in backward_slices]
 
-    def former():
+    def former_forward():
         weights.dot(h_rows.T, former_g)
 
-    def blocked():
-        for weight_rows, g_rows in products:
+    def forward():
+        for weight_rows, g_rows in forward_blocks:
             weight_rows.dot(h_cols, g_rows)
 
-    former()
-    blocked()
+    def former_backward():
+        np.matmul(dz_rows, weights, former_dh)
+
+    def blocked_backward():
+        for weight_rows, dh_rows in backward_blocks:
+            weight_rows.dot(dz_cols, dh_rows)
+
+    # lstm_backward keeps `dz @ W` while its product is one block.
+    backward = blocked_backward if split else former_backward
+    for fn in (former_forward, forward, former_backward, blocked_backward):
+        fn()
     np.testing.assert_allclose(g, former_g, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(dh_cols.T, former_dh, rtol=1e-5, atol=1e-4)
     calls = max(1, int(2e8 // (8 * hidden * hidden * batch)))  # about 0.1 s per round at 2 GFLOP/s
-    former_s, blocked_s = [], []
+    timed = {
+        "former_forward": former_forward,
+        "forward": forward,
+        "former_backward": former_backward,
+        "backward": backward,
+    }
+    seconds = {name: [] for name in timed}
     for _ in range(7):
-        former_s.append(_seconds_per_call(former, calls))
-        blocked_s.append(_seconds_per_call(blocked, calls))
-    former_us, blocked_us = statistics.median(former_s) * 1e6, statistics.median(blocked_s) * 1e6
+        for name, fn in timed.items():
+            seconds[name].append(_seconds_per_call(fn, calls))
+    us = {name: statistics.median(values) * 1e6 for name, values in seconds.items()}
+    copy_us = statistics.median(_seconds_per_call(lambda: np.ascontiguousarray(weights.T), 1) for _ in range(3))
+    copy_us = copy_us * 1e6 if split else 0.0
     benchmark.extra_info.update(
-        row_blocks=len(products),
-        former_us=round(former_us, 2),
-        blocked_us=round(blocked_us, 2),
-        former_over_blocked=round(former_us / blocked_us, 2),
+        forward_blocks=len(forward_blocks),
+        backward_blocks=len(backward_slices),
+        **{f"{name}_us": round(value, 2) for name, value in us.items()},
+        forward_ratio=round(us["former_forward"] / us["forward"], 2),
+        backward_ratio=round(us["former_backward"] / us["backward"], 2),
+        transposed_copy_us=round(copy_us, 1),
     )
+    copy_note = f" + W^T copy {copy_us:.0f} us per call" if split else ""
     print(
-        f"\nh={hidden} B={batch}: former {former_us:.1f} us, "
-        f"{len(products)} row blocks {blocked_us:.1f} us, ratio {former_us / blocked_us:.2f}"
+        f"\nh={hidden} B={batch}: forward former {us['former_forward']:.1f} us, "
+        f"{len(forward_blocks)} blocks {us['forward']:.1f} us; backward former {us['former_backward']:.1f} us, "
+        f"{len(backward_slices)} blocks {us['backward']:.1f} us{copy_note}"
     )
-    benchmark.pedantic(blocked, rounds=5, iterations=calls, warmup_rounds=1)
+    benchmark.pedantic(lambda: (forward(), backward()), rounds=5, iterations=calls, warmup_rounds=1)

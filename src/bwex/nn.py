@@ -100,28 +100,41 @@ def _split_gates(z, hidden):
     return z[..., :hidden], z[..., hidden : 2 * hidden], z[..., 2 * hidden : 3 * hidden], z[..., 3 * hidden :]
 
 
-# OpenBLAS runs a GEMM of at most 10^6 multiply-adds (M·N·K) on its
-# small-matrix kernel, which reads C-ordered operands in place. A larger
-# GEMM, or one whose right operand is a transposed view of [B, H] rows,
-# goes through the packed path, and at a few columns the packing costs
-# more than the product. The recurrent product [4H, H] x [H, B], BLAS on
-# 1 thread, 2-vCPU Xeon guest:
+# OpenBLAS 0.3.31 (DYNAMIC_ARCH build, SkylakeX kernels) runs a GEMM of
+# at most 10^6 multiply-adds (M·N·K) on its small-matrix kernel, which
+# reads C-ordered operands in place. A larger GEMM, or one whose right
+# operand is a transposed view of [B, H] rows, goes through the packed
+# path, and at a few columns the packing costs more than the product.
+# The recurrent product [4H, H] x [H, B], BLAS on 1 thread, 2-vCPU
+# AVX-512 Xeon guest:
 #
 #   h     B   [B, H] rows, transposed   C-ordered [H, B]   C-ordered, row blocks
 #   256   2   97 µs                     18 µs              -
 #   256   4   98 µs                     104 µs             37 µs (2 blocks)
 #   1024  4   2.65 ms                   2.68 ms            1.03 ms (17 blocks)
+#   1024  64  9.2 ms                    8.8 ms             10.1 ms (274 blocks)
 #
 # At B = 1 every form is the same matrix-vector call (0.82 ms at h=1024).
+# Row blocks won in both passes at B = 2 to 8. From B = 16 the result
+# was mixed (within noise at h=256, a loss in the forward at h=1024 at
+# B = 24 and 48), and at B = 64, where one packed GEMM is efficient, they
+# lost; so only B <= SMALL_GEMM_MAX_COLS splits.
+# These figures hold for this core type and BLAS build only. With the
+# same library on its Haswell kernels (OPENBLAS_CORETYPE=Haswell), which
+# have no small-matrix kernel, the forward's row blocks at B = 4 and 8
+# were within 1% of the former product at h=256 and 10-21% faster at
+# h=1024, but the backward's were 3-55% slower than `dz @ W` (two runs).
+# Other CPUs and BLAS libraries are unmeasured.
 SMALL_GEMM_MNK = 10**6
+SMALL_GEMM_MAX_COLS = 8
 
 
 def _row_slices(rows: int, cols: int, inner: int) -> list:
     """Slices that split the rows of a product [rows, inner] x [inner, cols]
     into the fewest near-equal blocks of at most SMALL_GEMM_MNK
-    multiply-adds each. At cols = 1 the product is one matrix-vector call
-    and stays whole."""
-    if cols == 1:
+    multiply-adds each. At cols = 1 the product is one matrix-vector call,
+    and above SMALL_GEMM_MAX_COLS one packed GEMM; both stay whole."""
+    if cols == 1 or cols > SMALL_GEMM_MAX_COLS:
         return [slice(0, rows)]
     max_rows = max(1, SMALL_GEMM_MNK // (cols * inner))
     n_blocks = -(-rows // max_rows)
@@ -246,15 +259,18 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
     dh_next = np.zeros((batch, hidden), dtype=dh_seq.dtype)
     dc_next = np.zeros_like(dh_next)
     # dh_next = W^T dz. Unsplit (always at B = 1, where it is one
-    # matrix-vector call) it stays the product `dz @ W` on the stored
-    # weights, with the same bits. Split into row blocks (see
-    # SMALL_GEMM_MNK) it needs C-ordered operands: one copy of W^T per
-    # call, about 0.3 ms at h=256, and gate-major [4H, B] and [H, B]
-    # buffers for dz and the result. (Column blocks of the stored W need
-    # no copy, but at h=1024 their 4 KB row stride keeps the product at
-    # 7-10 ms against 1.1 ms.) A split step scales the factors into dz
-    # through [B, .] views of it, reading dz_seq rows in order, and copies
-    # them back for the weight gradients.
+    # matrix-vector call, and at B > SMALL_GEMM_MAX_COLS) it stays the
+    # product `dz @ W` on the stored weights, with the same bits; run as
+    # one row block of a copy of W^T it changes the chrnn training
+    # checkpoints pinned in tests/test_condition_track.py. Split into row
+    # blocks (see SMALL_GEMM_MNK) it needs C-ordered operands: one copy of
+    # W^T per call (0.3-0.4 ms at h=256, 46-55 ms at h=1024), and
+    # gate-major [4H, B] and [H, B] buffers for dz and the result.
+    # (Column blocks of the stored W need no copy, but at h=1024 their
+    # 4 KB row stride keeps the product at 7-10 ms against 1.1 ms.) A
+    # split step scales the factors into dz through [B, .] views of it,
+    # reading dz_seq rows in order, and copies them back for the weight
+    # gradients.
     slices = _row_slices(hidden, batch, 4 * hidden)
     split = len(slices) > 1
     if split:

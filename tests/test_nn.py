@@ -390,13 +390,15 @@ class TestLstmKernels:
             np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_row_blocked_sizes_match_the_row_product(self, dtype, rtol):
+    @pytest.mark.parametrize("batch, n_blocks", [(4, 2), (16, 1)])
+    def test_row_blocked_sizes_match_the_row_product(self, batch, n_blocks, dtype, rtol):
         # At h=256, B=4 both the forward's [4H, H] and the backward's
-        # [H, 4H] recurrent product split into two row blocks.
+        # [H, 4H] recurrent product split into two row blocks; at B=16,
+        # above SMALL_GEMM_MAX_COLS, both stay one product.
         rng = np.random.default_rng(256)
-        batch, hidden, n_in, steps = 4, 256, 16, 6
-        assert len(nn._row_slices(4 * hidden, batch, hidden)) == 2
-        assert len(nn._row_slices(hidden, batch, 4 * hidden)) == 2
+        hidden, n_in, steps = 256, 16, 6
+        assert len(nn._row_slices(4 * hidden, batch, hidden)) == n_blocks
+        assert len(nn._row_slices(hidden, batch, 4 * hidden)) == n_blocks
         p = LstmParams.create(hidden, n_in, rng, dtype=dtype)
         x = rng.standard_normal((batch, steps, n_in)).astype(dtype)
         h0 = rng.standard_normal((batch, hidden)).astype(dtype)
@@ -423,6 +425,11 @@ class TestLstmKernels:
             (256, 4, 1024, 2),
             (1024, 8, 256, 3),
             (4096, 4, 1024, 17),
+            (4096, 8, 1024, 34),
+            (1024, 8, 4096, 35),
+            (1024, 16, 256, 1),
+            (4096, 64, 1024, 1),
+            (1024, 64, 4096, 1),
         ],
     )
     def test_row_slices_are_the_fewest_within_the_bound(self, rows, cols, inner, n_blocks):
@@ -432,7 +439,7 @@ class TestLstmKernels:
         assert max(sizes) - min(sizes) <= 1
         assert [s.start for s in slices[1:]] == [s.stop for s in slices[:-1]]
         assert slices[0].start == 0 and slices[-1].stop == rows
-        if cols > 1:
+        if 1 < cols <= nn.SMALL_GEMM_MAX_COLS:
             assert max(sizes) * cols * inner <= nn.SMALL_GEMM_MNK
 
 
