@@ -49,11 +49,14 @@ _CHRNN_DEFAULTS = {key: MFCC_TRACK[key] for key in ("cond_dim", "cond_frame_shif
 
 @dataclasses.dataclass
 class RunConfig:
-    model_cfg: ModelConfig
     train_cfg: TrainConfig
     train_manifest: Path | None
     valid_manifest: Path | None
     cond_source: str | None
+
+    @property
+    def model_cfg(self) -> ModelConfig:
+        return self.train_cfg.model
 
 
 def parse_config_text(text: str) -> dict:
@@ -147,7 +150,6 @@ def build_run_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
-        model_cfg=model_cfg,
         train_cfg=train_cfg,
         train_manifest=data.get("train_manifest"),
         valid_manifest=data.get("valid_manifest"),

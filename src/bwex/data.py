@@ -178,8 +178,6 @@ def load_manifest(path, split: str = "train") -> CorpusManifest:
         feature_path = _resolve(base, fields[2]) if len(fields) == 3 else None
         if not wav_path.exists():
             raise DataError(f"{path}:{lineno}: missing wav file {wav_path}")
-        if feature_path is not None and not feature_path.exists():
-            raise DataError(f"{path}:{lineno}: missing feature file {feature_path}")
         entries.append(ManifestEntry(utt_id, wav_path, feature_path))
     return CorpusManifest(tuple(entries), split)
 
@@ -266,6 +264,8 @@ def condition_track(
     if not model_cfg.conditional:
         return None
     if feature_path is not None:
+        if not Path(feature_path).exists():
+            raise DataError(f"{name}: missing feature file {feature_path}")
         track = load_features(feature_path)
     elif cond_source == "mfcc":
         track = narrowband_mfcc(narrowband)
@@ -307,7 +307,7 @@ def check_conditions(track: ConditionTrack, model_cfg: ModelConfig, name: str):
 
 @dataclasses.dataclass
 class PaddedBatch:
-    """One mini-batch padded to a shared, model-aligned length.
+    """One mini-batch, or a TBPTT chunk of one, padded to a shared, model-aligned length.
 
     inputs carry the lookahead tail beyond n_steps; targets and mask cover
     the n_steps output region; mask is true exactly on pre-padding
@@ -319,11 +319,14 @@ class PaddedBatch:
     mask: np.ndarray          # [B, n_steps] bool
     conditions: np.ndarray | None  # [B, n_steps / top_frame_size, dim] float32
     utt_ids: tuple[str, ...]
-    valid_lens: np.ndarray    # [B] int
 
     @property
     def n_steps(self) -> int:
         return self.targets.shape[1]
+
+    @property
+    def valid_lens(self) -> np.ndarray:  # [B] int
+        return self.mask.sum(axis=1)
 
 
 def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
@@ -331,8 +334,7 @@ def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
         raise DataError("cannot build an empty batch")
     multiple = model_cfg.time_multiple
     lookahead = model_cfg.lookahead
-    lengths = np.array([len(p.input_levels) for p in pairs])
-    n_steps = int(-(-lengths.max() // multiple) * multiple)
+    n_steps = -(-max(len(p.input_levels) for p in pairs) // multiple) * multiple
     batch = len(pairs)
     inputs = np.full((batch, n_steps + lookahead), PAD_LEVEL, dtype=np.int32)
     targets = np.full((batch, n_steps), PAD_LEVEL, dtype=np.int32)
@@ -354,7 +356,7 @@ def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
             wanted = -(-n // multiple)  # frames covering this utterance
             frames = align_condition_frames(pair.conditions.frames, wanted)
             conditions[i, :wanted] = frames
-    return PaddedBatch(inputs, targets, mask, conditions, tuple(p.utt_id for p in pairs), lengths)
+    return PaddedBatch(inputs, targets, mask, conditions, tuple(p.utt_id for p in pairs))
 
 
 def batch_iter(pairs, batch_size: int, seed: int, model_cfg: ModelConfig):
@@ -374,16 +376,8 @@ def batch_iter(pairs, batch_size: int, seed: int, model_cfg: ModelConfig):
 # TBPTT chunking
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
-class TbpttChunk:
-    inputs: np.ndarray        # [B, chunk_steps + lookahead]
-    targets: np.ndarray       # [B, chunk_steps]
-    mask: np.ndarray          # [B, chunk_steps]
-    conditions: np.ndarray | None
-
-
 def tbptt_chunks(batch: PaddedBatch, chunk_len: int, model_cfg: ModelConfig):
-    """Split a batch along time into gradient-truncation chunks.
+    """Split a batch along time into gradient-truncation chunks (PaddedBatch views).
 
     chunk_len is rounded up to a whole number of top-tier frames; each
     chunk's input slice carries its own lookahead tail (overlapping the
@@ -402,11 +396,12 @@ def tbptt_chunks(batch: PaddedBatch, chunk_len: int, model_cfg: ModelConfig):
         if batch.conditions is not None:
             conditions = batch.conditions[:, start // multiple : stop // multiple]
         chunks.append(
-            TbpttChunk(
+            PaddedBatch(
                 inputs=batch.inputs[:, start : stop + lookahead],
                 targets=batch.targets[:, start:stop],
                 mask=batch.mask[:, start:stop],
                 conditions=conditions,
+                utt_ids=batch.utt_ids,
             )
         )
     return chunks

@@ -161,7 +161,7 @@ class HrnnConfig(_SharedConfig):
 
     @classmethod
     def build(cls, **fields) -> "HrnnConfig":
-        """The same as `HrnnConfig(**fields)`; kept for existing callers."""
+        """The same as `HrnnConfig(**fields)`; kept because `bench/workloads.py` calls it."""
         return cls(**fields)
 
     @property
@@ -319,6 +319,19 @@ class _Model:
             state[key] = (zeros, zeros.copy())
         return state
 
+    def _head_forward(self, prefix: str, x: np.ndarray):
+        """Output head `{prefix}ff1` -> ReLU -> `{prefix}ff2` over x; returns (logits, ReLU output)."""
+        a = nn.affine(self._affine(f"{prefix}ff1"), x)
+        np.maximum(a, 0.0, out=a)  # ReLU; backward masks on a > 0, same as z > 0
+        return nn.affine(self._affine(f"{prefix}ff2"), a), a
+
+    def _head_backward(self, prefix: str, x: np.ndarray, a: np.ndarray, dlogits: np.ndarray, grads: dict):
+        """Store the head's gradients in `grads`; returns the gradient w.r.t. x."""
+        (grads[f"{prefix}ff2.w"], grads[f"{prefix}ff2.b"]), da = nn.affine_backward(self._affine(f"{prefix}ff2"), a, dlogits)
+        dz = da * (a > 0)
+        (grads[f"{prefix}ff1.w"], grads[f"{prefix}ff1.b"]), dx = nn.affine_backward(self._affine(f"{prefix}ff1"), x, dz)
+        return dx
+
     def load_params(self, values: dict):
         """Copy new values into the existing parameter arrays; names and
         shapes must match exactly."""
@@ -457,9 +470,7 @@ class Hrnn(_Model):
         i_sample += self.params["tier1.combine.b"]
         for j, table in enumerate(self._sample_tables()):
             i_sample += nn.embed(table, levels[:, j : j + n_steps])
-        a_hidden = nn.affine(self._affine("tier1.ff1"), i_sample)
-        np.maximum(a_hidden, 0.0, out=a_hidden)  # ReLU; backward masks on a > 0, same as z > 0
-        logits = nn.affine(self._affine("tier1.ff2"), a_hidden)
+        logits, a_hidden = self._head_forward("tier1.", i_sample)
         if not cache:
             return logits, None, state_out
         tier_caches[0] = {"i": i_sample, "a_hidden": a_hidden}
@@ -474,11 +485,7 @@ class Hrnn(_Model):
         sample = tiers[0]
         n_steps = cache["n_steps"]
 
-        (dw, db), da = nn.affine_backward(self._affine("tier1.ff2"), sample["a_hidden"], dlogits)
-        grads["tier1.ff2.w"], grads["tier1.ff2.b"] = dw, db
-        dz = da * (sample["a_hidden"] > 0)
-        (dw, db), di = nn.affine_backward(self._affine("tier1.ff1"), sample["i"], dz)
-        grads["tier1.ff1.w"], grads["tier1.ff1.b"] = dw, db
+        di = self._head_backward("tier1.", sample["i"], sample["a_hidden"], dlogits, grads)
         # The forward never formed the concatenated embeddings f; gather
         # them again from the cached levels for the combine weights.
         levels = cache["levels"]
@@ -546,20 +553,14 @@ class Srnn(_Model):
         for i in range(1, SRNN_LSTM_LAYERS + 1):
             h0, c0 = state[i]
             h, state_out[i], lstm_caches[i] = nn.lstm_forward(self._lstm(f"lstm{i}"), h, h0, c0, cache=cache)
-        a = nn.affine(self._affine("ff1"), h)
-        np.maximum(a, 0.0, out=a)  # ReLU, as in `Hrnn.forward`
-        logits = nn.affine(self._affine("ff2"), a)
+        logits, a = self._head_forward("", h)
         if not cache:
             return logits, None, state_out
         return logits, {"levels": levels, "lstm": lstm_caches, "a": a}, state_out
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
         grads = {}
-        (dw, db), da = nn.affine_backward(self._affine("ff2"), cache["a"], dlogits)
-        grads["ff2.w"], grads["ff2.b"] = dw, db
-        dz = da * (cache["a"] > 0)
-        (dw, db), dh = nn.affine_backward(self._affine("ff1"), cache["lstm"][SRNN_LSTM_LAYERS].h, dz)
-        grads["ff1.w"], grads["ff1.b"] = dw, db
+        dh = self._head_backward("", cache["lstm"][SRNN_LSTM_LAYERS].h, cache["a"], dlogits, grads)
         for i in range(SRNN_LSTM_LAYERS, 0, -1):
             (dwx, dwh, dbs), dh, _, _ = nn.lstm_backward(self._lstm(f"lstm{i}"), cache["lstm"][i], dh)
             grads[f"lstm{i}.wx"], grads[f"lstm{i}.wh"], grads[f"lstm{i}.b"] = dwx, dwh, dbs

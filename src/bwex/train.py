@@ -72,18 +72,26 @@ class Checkpoint:
 class TrainResult:
     checkpoint: Checkpoint
     history: list
-    best_epoch: int
+
+    @property
+    def best_epoch(self) -> int:
+        return int(self.checkpoint.metadata["epoch"])
 
     @property
     def best_valid_ce(self) -> float:
         return float(self.checkpoint.metadata["best_valid_ce"])
 
 
-def _chunk_loss(model, chunk, state):
-    logits, cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state)
-    flat = logits.reshape(-1, logits.shape[-1])
-    loss, dflat = nn.softmax_ce(flat, chunk.targets.reshape(-1), chunk.mask.reshape(-1))
-    return loss, cache, dflat.reshape(logits.shape), state
+def _chunk_forwards(model, batch, chunk_len: int, cache: bool = True):
+    """Yield (chunk, n_valid, logits, cache) per TBPTT chunk of `batch`, carrying the
+    LSTM state; each forward runs on demand, after any update to the one before."""
+    state = None
+    for chunk in tbptt_chunks(batch, chunk_len, model.cfg):
+        n_valid = int(chunk.mask.sum())
+        if n_valid == 0:
+            break  # masks are prefixes: nothing valid remains
+        logits, fwd_cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state, cache=cache)
+        yield chunk, n_valid, logits, fwd_cache
 
 
 def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log=None) -> TrainResult:
@@ -107,17 +115,14 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
         total, count = 0.0, 0
         batches = batch_iter(train_pairs, cfg.batch_size, seed=cfg.seed + epoch, model_cfg=cfg.model)
         for batch_idx, batch in enumerate(batches):
-            state = None
-            for chunk_idx, chunk in enumerate(tbptt_chunks(batch, cfg.chunk_len, cfg.model)):
-                n_valid = int(chunk.mask.sum())
-                if n_valid == 0:
-                    break  # masks are prefixes: nothing valid remains
-                loss, cache, dlogits, state = _chunk_loss(model, chunk, state)
+            for chunk_idx, (chunk, n_valid, logits, cache) in enumerate(_chunk_forwards(model, batch, cfg.chunk_len)):
+                flat = logits.reshape(-1, logits.shape[-1])
+                loss, dflat = nn.softmax_ce(flat, chunk.targets.reshape(-1), chunk.mask.reshape(-1))
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch {batch_idx}, chunk {chunk_idx}"
                     )
-                grads = model.backward(cache, dlogits)
+                grads = model.backward(cache, dflat.reshape(logits.shape))
                 nn.clip_global_norm(grads, cfg.clip_norm)
                 nn.adam_update(adam, model.params, grads)
                 total += loss * n_valid
@@ -143,7 +148,7 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
         params=best_params,
         metadata={"epoch": best_epoch, "best_valid_ce": best_ce},
     )
-    return TrainResult(checkpoint, history, best_epoch)
+    return TrainResult(checkpoint, history)
 
 
 def validate(model, pairs, batch_size: int = 8):
@@ -157,12 +162,7 @@ def validate(model, pairs, batch_size: int = 8):
     pairs = list(pairs)
     for start in range(0, len(pairs), batch_size):
         batch = make_batch(pairs[start : start + batch_size], model.cfg)
-        state = None
-        for chunk in tbptt_chunks(batch, GENERATE_CHUNK, model.cfg):
-            n_valid = int(chunk.mask.sum())
-            if n_valid == 0:
-                break  # masks are prefixes: nothing valid remains
-            logits, _, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state, cache=False)
+        for chunk, n_valid, logits, _ in _chunk_forwards(model, batch, GENERATE_CHUNK, cache=False):
             flat = logits.reshape(-1, logits.shape[-1])
             targets = chunk.targets.reshape(-1)
             mask = chunk.mask.reshape(-1)

@@ -249,6 +249,19 @@ def test_unconditional_models_ignore_manifest_features(tmp_path, kind):
     assert pair.conditions is None
 
 
+@pytest.mark.parametrize("kind, code", [("hrnn", 0), ("srnn", 0), ("chrnn", 2)])
+def test_only_a_conditional_tier_needs_the_manifest_feature_file(tmp_path, capsys, kind, code):
+    save_wav(tmp_path / "u.wav", noisy(800, 16000))
+    (tmp_path / "m.tsv").write_text("u\tu.wav\tgone.bwef\n")
+    (tmp_path / "c.cfg").write_text(
+        f"model.kind = {kind}\nmodel.hidden = 8\nmodel.embed_dim = 4\ntrain.max_epochs = 1\ntrain.patience = 1\n"
+        f"data.train_manifest = {tmp_path / 'm.tsv'}\ndata.valid_manifest = {tmp_path / 'm.tsv'}\n"
+    )
+    assert main(["train", "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "m.bweh")]) == code
+    missing = f"data error: u: missing feature file {tmp_path / 'gone.bwef'}\n"
+    assert capsys.readouterr().err == (missing if code else "")
+
+
 @pytest.mark.parametrize("kind", ["hrnn", "srnn"])
 def test_unconditional_extend_ignores_features(tmp_path, kind):
     ckpt = write_checkpoint(tmp_path / "m.bweh", f"model.kind = {kind}\nmodel.hidden = 8\nmodel.embed_dim = 4\n")

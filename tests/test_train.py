@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bwex.train
 from bwex import data, dsp, nn
 from bwex.cli import main
 from bwex.config import model_from_checkpoint, serialize_config
@@ -16,7 +17,7 @@ from bwex.data import load_wav, save_wav
 from bwex.data import build_pair, make_batch
 from bwex.dsp import Waveform
 from bwex.metrics import reconstruct_wideband
-from bwex.models import HrnnConfig, SrnnConfig, build_model, generate
+from bwex.models import Hrnn, HrnnConfig, SrnnConfig, build_model, generate
 from bwex.train import (
     Checkpoint,
     CheckpointError,
@@ -143,6 +144,33 @@ class TestTrain:
             curves.append(losses)
         mean_curve = np.mean(curves, axis=0)
         assert np.all(np.diff(mean_curve) < 0)
+
+
+@pytest.mark.parametrize("run", ["train", "validate"])
+def test_no_forward_runs_on_an_all_padding_chunk(monkeypatch, run):
+    # make_batch never pads a whole chunk, so one is appended, followed by
+    # a valid chunk that the walk must not reach either.
+    real_chunks, real_forward = data.tbptt_chunks, Hrnn.forward
+    expected, forwarded = [], []
+
+    def chunks_and_padding(batch, chunk_len, model_cfg):
+        chunks = real_chunks(batch, chunk_len, model_cfg)
+        expected.extend(chunk.inputs for chunk in chunks)
+        return chunks + [dataclasses.replace(chunks[-1], mask=np.zeros_like(chunks[-1].mask)), chunks[0]]
+
+    def spy(self, levels, *args, **kwargs):
+        forwarded.append(levels)
+        return real_forward(self, levels, *args, **kwargs)
+
+    monkeypatch.setattr(bwex.train, "tbptt_chunks", chunks_and_padding)
+    monkeypatch.setattr(Hrnn, "forward", spy)
+    pairs = toy_pairs(n_utts=3, n_samples=1100)
+    if run == "train":
+        train(toy_cfg(max_epochs=1, patience=1, chunk_len=480), pairs, pairs)
+    else:
+        validate(build_model(toy_cfg().model, rng=0), pairs, batch_size=2)
+    assert expected and len(forwarded) == len(expected)
+    assert all(levels is inputs for levels, inputs in zip(forwarded, expected))
 
 
 class TestValidate:
