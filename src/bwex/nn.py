@@ -399,24 +399,36 @@ class AdamState:
 
 
 def adam_update(state: AdamState, params: dict, grads: dict):
-    """Bias-corrected Adam step, updating params in place."""
+    """Bias-corrected Adam step, updating params in place.
+
+    Every intermediate is written into two scratch arrays, allocated once
+    per call in the parameter dtype and sized for the largest tensor, in
+    the order of the textbook expression, so the update is bit-identical
+    to evaluating it with fresh temporaries.
+    """
     state.step += 1
     t = state.step
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    scratch = {}  # dtype -> two flat buffers
+    largest = max((theta.size for theta in params.values()), default=0)
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ShapeError(f"adam_update: grad shape {g.shape} != param shape {theta.shape} for {name!r}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"adam_update: non-finite gradient for {name!r}")
+        if theta.dtype not in scratch:
+            scratch[theta.dtype] = np.empty((2, largest), dtype=theta.dtype)
+        a, b = (buf[: theta.size].reshape(theta.shape) for buf in scratch[theta.dtype])
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        theta -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        v += np.multiply(np.square(g, out=a), 1.0 - ADAM_BETA2, out=a)
+        np.multiply(np.divide(m, c1, out=a), state.lr, out=a)  # lr * m_hat
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPSILON, out=b)  # sqrt(v_hat) + eps
+        theta -= np.divide(a, b, out=a)
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:

@@ -84,14 +84,38 @@ class TrainResult:
 
 def _chunk_forwards(model, batch, chunk_len: int, cache: bool = True):
     """Yield (chunk, n_valid, logits, cache) per TBPTT chunk of `batch`, carrying the
-    LSTM state; each forward runs on demand, after any update to the one before."""
+    LSTM state; each forward runs on demand, after any update to the one before.
+
+    A row whose mask has ended before a chunk leaves the walk there: the
+    chunk holds only the rows still valid at its first position, in batch
+    order, and each carried state shrinks to them. Masks are prefixes, so
+    a dropped row would add only exact zeros to the loss and gradients.
+    The consumer must drop its references to a chunk's logits and cache
+    before asking for the next one, so that two never coexist.
+    """
     state = None
+    n_rows = batch.mask.shape[0]
+    live = np.arange(n_rows)  # the batch rows still in the walk
     for chunk in tbptt_chunks(batch, chunk_len, model.cfg):
-        n_valid = int(chunk.mask.sum())
-        if n_valid == 0:
-            break  # masks are prefixes: nothing valid remains
+        keep = chunk.mask[live, 0]
+        if not keep.all():
+            live = live[keep]
+            if live.size == 0:
+                break  # masks are prefixes: nothing valid remains
+            if state is not None:
+                state = {k: (h[keep], c[keep]) for k, (h, c) in state.items()}
+        if live.size < n_rows:
+            chunk = dataclasses.replace(
+                chunk,
+                inputs=chunk.inputs[live],
+                targets=chunk.targets[live],
+                mask=chunk.mask[live],
+                conditions=None if chunk.conditions is None else chunk.conditions[live],
+                utt_ids=tuple(chunk.utt_ids[i] for i in live),
+            )
         logits, fwd_cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state, cache=cache)
-        yield chunk, n_valid, logits, fwd_cache
+        yield chunk, int(chunk.mask.sum()), logits, fwd_cache
+        del logits, fwd_cache
 
 
 def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log=None) -> TrainResult:
@@ -115,7 +139,10 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
         total, count = 0.0, 0
         batches = batch_iter(train_pairs, cfg.batch_size, seed=cfg.seed + epoch, model_cfg=cfg.model)
         for batch_idx, batch in enumerate(batches):
-            for chunk_idx, (chunk, n_valid, logits, cache) in enumerate(_chunk_forwards(model, batch, cfg.chunk_len)):
+            # Counted by hand: enumerate's result tuple would keep the last
+            # chunk's logits alive through the next forward.
+            chunk_idx = 0
+            for chunk, n_valid, logits, cache in _chunk_forwards(model, batch, cfg.chunk_len):
                 flat = logits.reshape(-1, logits.shape[-1])
                 loss, dflat = nn.softmax_ce(flat, chunk.targets.reshape(-1), chunk.mask.reshape(-1))
                 if not math.isfinite(loss):
@@ -125,8 +152,10 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
                 grads = model.backward(cache, dflat.reshape(logits.shape))
                 nn.clip_global_norm(grads, cfg.clip_norm)
                 nn.adam_update(adam, model.params, grads)
+                del logits, flat, cache, dflat, grads  # freed before the next forward
                 total += loss * n_valid
                 count += n_valid
+                chunk_idx += 1
         train_ce = total / count
         valid_ce, valid_acc = validate(model, valid_pairs, batch_size=cfg.batch_size)
         history.append(EpochStats(epoch, train_ce, valid_ce, valid_acc))
@@ -166,10 +195,11 @@ def validate(model, pairs, batch_size: int = 8):
             flat = logits.reshape(-1, logits.shape[-1])
             targets = chunk.targets.reshape(-1)
             mask = chunk.mask.reshape(-1)
-            loss, _ = nn.softmax_ce(flat, targets, mask)
+            loss = nn.softmax_ce(flat, targets, mask)[0]
             total_ce += loss * n_valid
             total_hits += int(np.sum((np.argmax(flat, axis=-1) == targets) & mask))
             count += n_valid
+            del logits, flat  # freed before the next forward
     return total_ce / count, 100.0 * total_hits / count
 
 

@@ -1,6 +1,7 @@
 """Layer-level tests: exact forwards, finite-difference backward oracles,
 Adam against a hand-computed recurrence, and gradient-check plumbing."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -670,6 +671,65 @@ class TestAdam:
         state = AdamState.create(params)
         with pytest.raises(ValueError, match="w"):
             adam_update(state, params, {"w": np.array([np.nan])})
+
+    @staticmethod
+    def former_update(state, params, grads):
+        """Reference: the update as one expression per moment, with fresh temporaries."""
+        state.step += 1
+        t = state.step
+        for name, theta in params.items():
+            g = grads[name]
+            m = state.m[name]
+            v = state.v[name]
+            m *= nn.ADAM_BETA1
+            m += (1.0 - nn.ADAM_BETA1) * g
+            v *= nn.ADAM_BETA2
+            v += (1.0 - nn.ADAM_BETA2) * np.square(g)
+            m_hat = m / (1.0 - nn.ADAM_BETA1**t)
+            v_hat = v / (1.0 - nn.ADAM_BETA2**t)
+            theta -= state.lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_former_update_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        shapes = {"b": (7,), "w": (5, 3), "fanout": (2, 3, 4)}
+        params = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+        ref_params = {name: value.copy() for name, value in params.items()}
+        state, ref_state = AdamState.create(params, lr=0.003), AdamState.create(ref_params, lr=0.003)
+        for _ in range(3):
+            grads = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+            adam_update(state, params, grads)
+            self.former_update(ref_state, ref_params, grads)
+            for name in shapes:
+                for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
+                    assert got[name].dtype == dtype
+                    assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_peak_memory_below_three_of_the_largest_tensor(self):
+        rng = np.random.default_rng(0)
+        params = {
+            "w": rng.standard_normal((512, 256)).astype(np.float32),
+            "b": rng.standard_normal(512).astype(np.float32),
+            "u": rng.standard_normal((64, 64)).astype(np.float32),
+        }
+        grads = {name: rng.standard_normal(value.shape).astype(np.float32) for name, value in params.items()}
+        state = AdamState.create(params)
+        adam_update(state, params, grads)
+        tracemalloc.start()
+        try:
+            adam_update(state, params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * params["w"].nbytes
+
+    def test_error_messages(self):
+        params = {"w": np.ones((2, 3)), "b": np.ones(3)}
+        state = AdamState.create(params)
+        with pytest.raises(ShapeError, match=r"^adam_update: grad shape \(3, 2\) != param shape \(2, 3\) for 'w'$"):
+            adam_update(state, params, {"w": np.ones((3, 2)), "b": np.ones(3)})
+        with pytest.raises(ValueError, match=r"^adam_update: non-finite gradient for 'b'$"):
+            adam_update(state, params, {"w": np.ones((2, 3)), "b": np.array([1.0, np.inf, 0.0])})
 
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +172,129 @@ def test_no_forward_runs_on_an_all_padding_chunk(monkeypatch, run):
         validate(build_model(toy_cfg().model, rng=0), pairs, batch_size=2)
     assert expected and len(forwarded) == len(expected)
     assert all(levels is inputs for levels, inputs in zip(forwarded, expected))
+
+
+@pytest.mark.parametrize("run", ["train", "validate"])
+def test_no_earlier_logits_alive_when_a_forward_starts(monkeypatch, run):
+    real_forward = Hrnn.forward
+    returned, alive_at_entry = [], []
+
+    def spy(self, *args, **kwargs):
+        alive_at_entry.append(sum(ref() is not None for ref in returned))
+        out = real_forward(self, *args, **kwargs)
+        returned.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(Hrnn, "forward", spy)
+    pairs = toy_pairs(n_utts=3, n_samples=5000)  # several chunks per batch, and two batches
+    if run == "train":
+        train(toy_cfg(max_epochs=1, patience=1, chunk_len=480), pairs, pairs)
+    else:
+        validate(build_model(toy_cfg().model, rng=0), pairs, batch_size=2)
+    assert len(alive_at_entry) > 4
+    assert alive_at_entry == [0] * len(alive_at_entry)
+
+
+def pairs_of_lengths(lengths, conditional=False):
+    """One toy pair per length (wideband samples), with distinct utt_ids."""
+    pairs = []
+    for i, n in enumerate(lengths):
+        pair = dataclasses.replace(toy_pairs(n_utts=1, n_samples=n)[0], utt_id=f"u{i}")
+        if conditional:
+            pair = dataclasses.replace(pair, conditions=data.narrowband_mfcc(pair.narrowband))
+        pairs.append(pair)
+    return pairs
+
+
+class TestDroppedRows:
+    """Rows whose mask has ended leave the chunk walk.
+
+    With chunks of 320 the 600- and 1400-sample rows end in different
+    chunks, and the longest row sits in the middle, so the rows that stay
+    are not a prefix of the batch.
+    """
+
+    LENGTHS = (1400, 2200, 600)
+    CHUNK = 320
+    CONFIGS = {
+        "hrnn": HrnnConfig(hidden=8, embed_dim=4),
+        "chrnn": HrnnConfig(hidden=8, embed_dim=4, cond_frame_shift=160, cond_dim=39),
+    }
+
+    def setup(self, kind):
+        model_cfg = self.CONFIGS[kind]
+        model = build_model(model_cfg, rng=np.random.default_rng(2), dtype=np.float64)
+        pairs = pairs_of_lengths(self.LENGTHS, conditional=model_cfg.conditional)
+        return model, pairs, make_batch(pairs, model_cfg)
+
+    @pytest.mark.parametrize("kind", ["hrnn", "chrnn"])
+    def test_walk_holds_the_rows_valid_at_each_chunk_start(self, kind):
+        model, _, batch = self.setup(kind)
+        full = data.tbptt_chunks(batch, self.CHUNK, model.cfg)
+        walked = [chunk for chunk, *_ in bwex.train._chunk_forwards(model, batch, self.CHUNK, cache=False)]
+        row_sets = [tuple(np.flatnonzero(chunk.mask[:, 0])) for chunk in full]
+        assert row_sets[0] == (0, 1, 2) and (0, 1) in row_sets and row_sets[-1] == (1,)
+        assert len(walked) == len(full)
+        for chunk, whole, rows in zip(walked, full, row_sets):
+            rows = list(rows)
+            assert chunk.utt_ids == tuple(batch.utt_ids[r] for r in rows)
+            np.testing.assert_array_equal(chunk.inputs, whole.inputs[rows])
+            np.testing.assert_array_equal(chunk.targets, whole.targets[rows])
+            np.testing.assert_array_equal(chunk.mask, whole.mask[rows])
+            if whole.conditions is not None:
+                np.testing.assert_array_equal(chunk.conditions, whole.conditions[rows])
+
+    @pytest.mark.parametrize("kind", ["hrnn", "chrnn"])
+    def test_each_row_matches_its_utterance_walked_alone(self, kind):
+        # A carried state mapped to the wrong row would show here.
+        model, pairs, batch = self.setup(kind)
+        batched = {utt: [] for utt in batch.utt_ids}
+        for chunk, _, logits, _ in bwex.train._chunk_forwards(model, batch, self.CHUNK, cache=False):
+            for row, utt in enumerate(chunk.utt_ids):
+                batched[utt].append(logits[row][chunk.mask[row]])
+        for pair in pairs:
+            alone = make_batch([pair], model.cfg)
+            walk = bwex.train._chunk_forwards(model, alone, self.CHUNK, cache=False)
+            expected = [logits[0][chunk.mask[0]] for chunk, _, logits, _ in walk]
+            assert len(batched[pair.utt_id]) == len(expected)
+            for got, want in zip(batched[pair.utt_id], expected):
+                np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["hrnn", "chrnn"])
+    def test_gradients_match_a_walk_that_keeps_every_row(self, kind):
+        model, _, batch = self.setup(kind)
+        reference, state = [], None
+        for chunk in data.tbptt_chunks(batch, self.CHUNK, model.cfg):
+            if not chunk.mask.any():
+                break
+            logits, cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state)
+            loss, dflat = nn.softmax_ce(logits.reshape(-1, 256), chunk.targets.reshape(-1), chunk.mask.reshape(-1))
+            reference.append((loss, model.backward(cache, dflat.reshape(logits.shape))))
+        walked = []
+        for chunk, _, logits, cache in bwex.train._chunk_forwards(model, batch, self.CHUNK):
+            loss, dflat = nn.softmax_ce(logits.reshape(-1, 256), chunk.targets.reshape(-1), chunk.mask.reshape(-1))
+            walked.append((loss, model.backward(cache, dflat.reshape(logits.shape))))
+        assert len(walked) == len(reference)
+        for (loss, grads), (ref_loss, ref_grads) in zip(walked, reference):
+            np.testing.assert_allclose(loss, ref_loss, rtol=1e-10)
+            assert grads.keys() == ref_grads.keys()
+            for name in ref_grads:
+                np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, err_msg=name)
+
+    def test_equal_lengths_walk_the_unchanged_chunks(self, monkeypatch):
+        real_chunks = data.tbptt_chunks
+        made = []
+
+        def recorded(batch, chunk_len, model_cfg):
+            made.extend(real_chunks(batch, chunk_len, model_cfg))
+            return made
+
+        monkeypatch.setattr(bwex.train, "tbptt_chunks", recorded)
+        model_cfg = self.CONFIGS["hrnn"]
+        batch = make_batch(pairs_of_lengths((1400, 1400)), model_cfg)
+        walked = [chunk for chunk, *_ in bwex.train._chunk_forwards(build_model(model_cfg, rng=0), batch, self.CHUNK)]
+        assert len(made) == 5 and len(walked) == len(made)
+        assert all(chunk is whole for chunk, whole in zip(walked, made))
 
 
 class TestValidate:
