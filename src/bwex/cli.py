@@ -54,8 +54,8 @@ def cmd_train(args) -> int:
         raise data.DataError("config must set data.train_manifest and data.valid_manifest")
     train_manifest = data.load_manifest(run_cfg.train_manifest, split="train")
     valid_manifest = data.load_manifest(run_cfg.valid_manifest, split="valid")
-    train_pairs = data.load_pairs(train_manifest, run_cfg.model_cfg, run_cfg.cond_source)
-    valid_pairs = data.load_pairs(valid_manifest, run_cfg.model_cfg, run_cfg.cond_source)
+    train_pairs = data.load_pairs(train_manifest, run_cfg.model_cfg)
+    valid_pairs = data.load_pairs(valid_manifest, run_cfg.model_cfg)
     result = train(run_cfg.train_cfg, train_pairs, valid_pairs, config_text=text, log=print)
     save_checkpoint(args.out, result.checkpoint)
     print(f"saved best checkpoint (epoch {result.best_epoch}) to {args.out}")
@@ -79,9 +79,7 @@ def cmd_extend(args) -> int:
         )
     if len(narrowband) == 0:
         raise data.DataError(f"{args.input}: no samples to extend")
-    conditions = data.condition_track(
-        run_cfg.model_cfg, run_cfg.cond_source, narrowband, args.features, args.input
-    )
+    conditions = data.condition_track(run_cfg.model_cfg, narrowband, args.features, args.input)
     upsampled = dsp.upsample2(narrowband)
     generated = generate(model, dsp.mulaw_encode(upsampled), conditions)
     wideband = reconstruct_wideband(

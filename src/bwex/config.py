@@ -52,7 +52,6 @@ class RunConfig:
     train_cfg: TrainConfig
     train_manifest: Path | None
     valid_manifest: Path | None
-    cond_source: str | None
 
     @property
     def model_cfg(self) -> ModelConfig:
@@ -121,7 +120,6 @@ def build_run_config(text: str) -> RunConfig:
     if "concat" in model:
         model["n_concat"] = model.pop("concat")
 
-    cond_source = None
     section = "model"  # whose dataclass a FieldError comes from
     try:
         if kind == "srnn":
@@ -131,13 +129,11 @@ def build_run_config(text: str) -> RunConfig:
         elif kind == "hrnn":
             model_cfg = HrnnConfig(**model)
         else:
-            cond_source = cond.pop("cond_source", "mfcc")
-            if cond_source not in ("mfcc", "file"):
-                raise ConfigError(f"model.cond_source must be mfcc or file, got {cond_source!r}")
-            cond = {**(MFCC_TRACK if cond_source == "mfcc" else _CHRNN_DEFAULTS), **cond}
+            cond.setdefault("cond_source", "mfcc")
+            cond = {**(MFCC_TRACK if cond["cond_source"] == "mfcc" else _CHRNN_DEFAULTS), **cond}
             model_cfg = HrnnConfig(**model, **cond)
             for key, value in MFCC_TRACK.items():
-                if cond_source == "mfcc" and cond[key] != value:
+                if model_cfg.cond_source == "mfcc" and cond[key] != value:
                     raise ConfigError(f"model.{key} must be {value} with model.cond_source = mfcc, got {cond[key]}")
         section = "train"
         train_cfg = TrainConfig(model=model_cfg, **_section(values, "train"))
@@ -153,21 +149,11 @@ def build_run_config(text: str) -> RunConfig:
         train_cfg=train_cfg,
         train_manifest=data.get("train_manifest"),
         valid_manifest=data.get("valid_manifest"),
-        cond_source=cond_source,
     )
 
 
-def serialize_config(
-    train_cfg: TrainConfig,
-    train_manifest=None,
-    valid_manifest=None,
-    cond_source: str | None = None,
-) -> str:
-    """Emit config text that build_run_config parses back equivalently.
-
-    Without `cond_source`, a conditional model is written as `mfcc` when
-    it takes the MFCC track and as `file` otherwise.
-    """
+def serialize_config(train_cfg: TrainConfig, train_manifest=None, valid_manifest=None) -> str:
+    """Emit config text that build_run_config parses back equivalently."""
     model = train_cfg.model
     lines = []
     if isinstance(model, SrnnConfig):
@@ -177,10 +163,7 @@ def serialize_config(
         lines.append(f"model.frame_sizes = {','.join(map(str, model.frame_sizes))}")
         lines.append(f"model.concat = {','.join(map(str, model.n_concat))}")
         if model.conditional:
-            if cond_source is None:  # mfcc names one track only
-                on_mfcc = all(getattr(model, key) == value for key, value in MFCC_TRACK.items())
-                cond_source = "mfcc" if on_mfcc else "file"
-            lines.append(f"model.cond_source = {cond_source}")
+            lines.append(f"model.cond_source = {model.cond_source}")
             lines.append(f"model.cond_dim = {model.cond_dim}")
             lines.append(f"model.cond_frame_shift = {model.cond_frame_shift}")
             if model.cond_window_ms is not None:

@@ -251,15 +251,13 @@ def narrowband_mfcc(narrowband: Waveform) -> ConditionTrack:
     return ConditionTrack(dsp.mfcc(narrowband).frames, MFCC_TRACK["cond_frame_shift"])
 
 
-def condition_track(
-    model_cfg: ModelConfig, cond_source: str | None, narrowband: Waveform, feature_path, name: str
-) -> ConditionTrack | None:
+def condition_track(model_cfg: ModelConfig, narrowband: Waveform, feature_path, name: str) -> ConditionTrack | None:
     """The track the model's conditional tier reads for one utterance.
 
     None for a model without that tier. Otherwise the feature file when
-    there is one, else the MFCCs of `narrowband` when the source is
-    mfcc; the track must fit the tier (see `check_conditions`), and
-    `name` says whose it is.
+    there is one, else the MFCCs of `narrowband` when the model's
+    cond_source is mfcc; the track must fit the tier (see
+    `check_conditions`), and `name` says whose it is.
     """
     if not model_cfg.conditional:
         return None
@@ -267,7 +265,7 @@ def condition_track(
         if not Path(feature_path).exists():
             raise DataError(f"{name}: missing feature file {feature_path}")
         track = load_features(feature_path)
-    elif cond_source == "mfcc":
+    elif model_cfg.cond_source == "mfcc":
         track = narrowband_mfcc(narrowband)
     else:
         raise DataError(f"{name}: the conditional tier needs a feature file (no MFCC condition source configured)")
@@ -275,7 +273,7 @@ def condition_track(
     return track
 
 
-def load_pairs(manifest: CorpusManifest, model_cfg: ModelConfig, cond_source: str | None = None):
+def load_pairs(manifest: CorpusManifest, model_cfg: ModelConfig):
     """Materialize every manifest entry into an UtterancePair, with the
     condition track its model reads (see `condition_track`)."""
     pairs = []
@@ -283,7 +281,7 @@ def load_pairs(manifest: CorpusManifest, model_cfg: ModelConfig, cond_source: st
         pair = build_pair(
             load_wav(entry.wav_path), model_cfg.strategy, model_cfg.hf_gain, utt_id=entry.utt_id
         )
-        conditions = condition_track(model_cfg, cond_source, pair.narrowband, entry.feature_path, entry.utt_id)
+        conditions = condition_track(model_cfg, pair.narrowband, entry.feature_path, entry.utt_id)
         pairs.append(dataclasses.replace(pair, conditions=conditions))
     return pairs
 

@@ -110,9 +110,11 @@ class HrnnConfig(_SharedConfig):
     of them) at the sample tier. cond_frame_shift adds a conditional tier
     above everything that consumes cond_dim-dim feature frames at that
     shift; cond_window_ms is their analysis window, counted in the
-    latency. The defaults reproduce the reference system: frame sizes
-    (16, 4, 1), two concatenated frames on both frame tiers, and four
-    concatenated embeddings at the sample tier.
+    latency; cond_source is "mfcc" (narrowband MFCCs unless a feature
+    file is given) or "file" (the default: a feature file only). The
+    defaults reproduce the reference system: frame sizes (16, 4, 1), two
+    concatenated frames on both frame tiers, and four concatenated
+    embeddings at the sample tier.
 
     `tiers` is derived: TierSpecs ordered bottom (sample) to top.
     """
@@ -122,10 +124,18 @@ class HrnnConfig(_SharedConfig):
     cond_frame_shift: int | None = None
     cond_dim: int | None = None
     cond_window_ms: float | None = None
+    cond_source: str | None = None
     tiers: tuple[TierSpec, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frame_sizes, shift = self.frame_sizes, self.cond_frame_shift
+        frame_sizes, shift, source = self.frame_sizes, self.cond_frame_shift, self.cond_source
+        if source is None:
+            if shift is not None:
+                object.__setattr__(self, "cond_source", "file")
+        elif shift is None:
+            raise FieldError("cond_source", f"needs a conditional tier, got {source!r}")
+        elif source not in ("mfcc", "file"):
+            raise FieldError("cond_source", f"must be mfcc or file, got {source!r}")
         if not frame_sizes:
             raise FieldError("frame_sizes", "must list at least one frame tier")
         if any(size < 1 for size in frame_sizes):

@@ -15,7 +15,7 @@ import pytest
 
 from bwex import nn
 from bwex.cli import main
-from bwex.config import build_run_config
+from bwex.config import build_run_config, serialize_config
 from bwex.data import (
     MFCC_TRACK,
     DataError,
@@ -197,27 +197,29 @@ def test_tier_cache_keeps_the_frame_inputs_and_the_lstm_cache():
 # The track a conditional tier reads
 # ---------------------------------------------------------------------------
 
-CHRNN_CFG = HrnnConfig(hidden=8, embed_dim=4, **MFCC_TRACK)
+def chrnn_cfg(source: str | None) -> HrnnConfig:
+    """A tiny chrnn on the MFCC track; a source of None takes the default."""
+    return HrnnConfig(hidden=8, embed_dim=4, cond_source=source, **MFCC_TRACK)
 
 
 @pytest.mark.parametrize("cfg", [HrnnConfig(hidden=8, embed_dim=4), SrnnConfig(hidden=8, embed_dim=4)])
 def test_a_model_without_a_conditional_tier_reads_no_track(tmp_path, cfg):
     garbled = tmp_path / "f.bwef"
     garbled.write_bytes(b"not a feature file")
-    assert condition_track(cfg, "mfcc", noisy(800, 8000), garbled, "u") is None
-    assert condition_track(cfg, None, noisy(800, 8000), None, "u") is None
+    assert condition_track(cfg, noisy(800, 8000), garbled, "u") is None
+    assert condition_track(cfg, noisy(800, 8000), None, "u") is None
 
 
 def test_a_feature_file_beats_mfcc(tmp_path):
     save_features(tmp_path / "f.bwef", random_track(7))
     for source in ("mfcc", "file", None):
-        track = condition_track(CHRNN_CFG, source, noisy(800, 8000), tmp_path / "f.bwef", "u")
+        track = condition_track(chrnn_cfg(source), noisy(800, 8000), tmp_path / "f.bwef", "u")
         np.testing.assert_array_equal(track.frames, random_track(7).frames)
 
 
 def test_mfcc_source_computes_the_narrowband_track():
     narrowband = noisy(800, 8000)
-    track = condition_track(CHRNN_CFG, "mfcc", narrowband, None, "u")
+    track = condition_track(chrnn_cfg("mfcc"), narrowband, None, "u")
     np.testing.assert_array_equal(track.frames, narrowband_mfcc(narrowband).frames)
 
 
@@ -236,7 +238,7 @@ def test_a_track_the_tier_cannot_read_is_a_data_error(tmp_path, source, n, frame
         path = tmp_path / "f.bwef"
         save_features(path, ConditionTrack(frames, 160))
     with pytest.raises(DataError, match=match):
-        condition_track(CHRNN_CFG, source, noisy(n, 8000), path, "u")
+        condition_track(chrnn_cfg(source), noisy(n, 8000), path, "u")
 
 
 @pytest.mark.parametrize("kind", ["hrnn", "srnn"])
@@ -245,7 +247,7 @@ def test_unconditional_models_ignore_manifest_features(tmp_path, kind):
     (tmp_path / "u.bwef").write_bytes(b"garbled")
     (tmp_path / "m.tsv").write_text("u\tu.wav\tu.bwef\n")
     cfg = build_run_config(f"model.kind = {kind}\nmodel.hidden = 8\nmodel.embed_dim = 4\n").model_cfg
-    (pair,) = load_pairs(load_manifest(tmp_path / "m.tsv"), cfg, "mfcc")
+    (pair,) = load_pairs(load_manifest(tmp_path / "m.tsv"), cfg)
     assert pair.conditions is None
 
 
@@ -271,6 +273,21 @@ def test_unconditional_extend_ignores_features(tmp_path, kind):
     assert main(argv + ["--out", str(tmp_path / "a.wav")]) == 0
     assert main(argv + ["--out", str(tmp_path / "b.wav"), "--features", str(tmp_path / "f.bwef")]) == 0
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
+def test_a_serialized_file_fed_chrnn_on_the_mfcc_track_still_needs_its_feature_file(tmp_path, capsys):
+    # Its features have the MFCC track's shape, so the text the serializer
+    # writes must still say `file`: extend may not fall back to MFCCs.
+    text = CHRNN.format("file") + "model.cond_dim = 39\nmodel.cond_frame_shift = 160\nmodel.cond_window_ms = 25\n"
+    ckpt = write_checkpoint(tmp_path / "m.bweh", serialize_config(build_run_config(text).train_cfg))
+    save_wav(tmp_path / "nb.wav", noisy(4000, 8000))
+    argv = ["extend", "--model", str(ckpt), "--in", str(tmp_path / "nb.wav"), "--out", str(tmp_path / "o.wav")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "needs a feature file" in err and err.count("\n") == 1
+    assert not (tmp_path / "o.wav").exists()
+    save_features(tmp_path / "f.bwef", random_track(50))
+    assert main(argv + ["--features", str(tmp_path / "f.bwef")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,13 @@ train.seed = 3
 """
 
 
+def assert_round_trips(text: str):
+    """The text's config survives serialize -> parse; equality covers the
+    condition source, a field of the model config."""
+    train_cfg = build_run_config(text).train_cfg
+    assert build_run_config(serialize_config(train_cfg)).train_cfg == train_cfg
+
+
 def synth_narrowband(n=4000, seed=0):
     rng = np.random.default_rng(seed)
     t = np.arange(n) / 8000.0
@@ -83,10 +90,11 @@ class TestConfigText:
         expected = {
             "srnn": SrnnConfig(),
             "hrnn": HrnnConfig.build(),
-            "chrnn": HrnnConfig.build(cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0),
+            "chrnn": HrnnConfig.build(cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0, cond_source="mfcc"),
         }[kind]
         assert cfg.model_cfg == expected
         assert cfg.train_cfg == TrainConfig(model=cfg.model_cfg)
+        assert_round_trips(f"model.kind = {kind}")
 
     def test_build_srnn(self):
         cfg = build_run_config("model.kind = srnn\nmodel.hidden = 16\nmodel.embed_dim = 8")
@@ -100,7 +108,8 @@ class TestConfigText:
         assert cfg.model_cfg.cond_dim == 39
         assert cfg.model_cfg.tiers[-1].frame_size == 160
         assert cfg.model_cfg.cond_window_ms == 25.0
-        assert cfg.cond_source == "mfcc"
+        assert cfg.model_cfg.cond_source == "mfcc"
+        assert_round_trips("model.kind = chrnn\nmodel.hidden = 8\nmodel.embed_dim = 4")
 
     def test_cond_keys_require_chrnn(self):
         with pytest.raises(ConfigError, match="chrnn"):
@@ -119,13 +128,15 @@ class TestConfigText:
 
     def test_serialize_roundtrip_conditional(self):
         model = HrnnConfig.build(
-            hidden=8, embed_dim=4, cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0
+            hidden=8, embed_dim=4, cond_frame_shift=160, cond_dim=39, cond_window_ms=25.0, cond_source="mfcc"
         )
         train_cfg = non_default_train_config(model)
-        back = build_run_config(serialize_config(train_cfg, cond_source="mfcc"))
+        back = build_run_config(serialize_config(train_cfg))
         assert back.model_cfg == model
         assert back.train_cfg == train_cfg
-        assert back.cond_source == "mfcc"
+        assert back.model_cfg.cond_source == "mfcc"
+        # The same track fed from files is another model.
+        assert back.train_cfg != non_default_train_config(dataclasses.replace(model, cond_source="file"))
 
     @pytest.mark.parametrize(
         "line, message",
@@ -141,6 +152,7 @@ class TestConfigText:
         assert capsys.readouterr().err == f"config error: {message}\n"
         cfg.write_text(f"model.kind = chrnn\nmodel.cond_source = file\n{line}\n")
         assert main(["latency", "--config", str(cfg)]) == 0
+        assert_round_trips(cfg.read_text())
 
     @pytest.mark.parametrize("kind, latency", [("hrnn", "1.9375 ms"), ("srnn", "0 ms")])
     def test_unconditional_models_ignore_a_cond_window(self, tmp_path, capsys, kind, latency):
@@ -155,15 +167,18 @@ class TestConfigText:
         [({"cond_dim": 10, "cond_frame_shift": 160, "cond_window_ms": 25.0}, "file"),
          ({"cond_dim": 39, "cond_frame_shift": 320, "cond_window_ms": 25.0}, "file"),
          ({"cond_dim": 39, "cond_frame_shift": 160}, "file"),
-         ({"cond_dim": 39, "cond_frame_shift": 160, "cond_window_ms": 25.0}, "mfcc")],
-        ids=["dim", "shift", "no-window", "mfcc-track"],
+         ({"cond_dim": 39, "cond_frame_shift": 160, "cond_window_ms": 25.0}, "mfcc"),
+         ({"cond_dim": 39, "cond_frame_shift": 160, "cond_window_ms": 25.0}, "file")],
+        ids=["dim", "shift", "no-window", "mfcc-track", "mfcc-track-from-files"],
     )
     def test_serialize_without_source_writes_the_one_that_parses_back(self, cond, source):
-        model = HrnnConfig(hidden=8, embed_dim=4, **cond)
+        # The serializer writes the model's own source, whatever the
+        # track's shape.
+        model = HrnnConfig(hidden=8, embed_dim=4, cond_source=source, **cond)
         back = build_run_config(serialize_config(TrainConfig(model=model)))
         assert back.model_cfg.tiers == model.tiers
         assert back.model_cfg == model
-        assert back.cond_source == source
+        assert back.model_cfg.cond_source == source
 
     def test_mfcc_default_is_the_track_narrowband_mfcc_makes(self):
         model = build_run_config("model.kind = chrnn").model_cfg
@@ -210,7 +225,7 @@ def test_golden_config_text_parses_to_its_tier_stack_and_back(name):
     text, stack = GOLDEN_CONFIGS[name]
     run_cfg = build_run_config(text)
     assert run_cfg.model_cfg.tiers == stack
-    assert serialize_config(run_cfg.train_cfg, cond_source=run_cfg.cond_source) == text
+    assert serialize_config(run_cfg.train_cfg) == text
 
 
 def non_default_train_config(model):
@@ -649,8 +664,9 @@ def test_help_exits_0(argv, capsys):
         ("model.frame_sizes = 16,0", "model.frame_sizes must all be >= 1, got (16, 0)"),
         ("model.concat = 2,0,4", "model.concat must all be >= 1, got (2, 0, 4)"),
         ("model.kind = chrnn\nmodel.cond_frame_shift = 0", "model.cond_frame_shift must be >= 1, got 0"),
+        ("model.kind = chrnn\nmodel.cond_source = wav", "model.cond_source must be mfcc or file, got 'wav'"),
     ],
-    ids=["hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift"],
+    ids=["hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift", "cond_source"],
 )
 def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):
     cfg = tmp_path / "m.cfg"

@@ -3,17 +3,19 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bwex.config import build_run_config, serialize_config  # noqa: E402
+from bwex.data import MFCC_TRACK  # noqa: E402
 from bwex.models import HrnnConfig, SrnnConfig  # noqa: E402
 from bwex.train import TrainConfig  # noqa: E402
 
 
 @st.composite
 def model_configs(draw):
-    """(model config, cond_source) over SRNN and HRNN stacks, with and
-    without a conditional tier."""
+    """Model configs over SRNN and HRNN stacks, with and without a
+    conditional tier; an `mfcc` source only on the MFCC track, a `file`
+    source on any track."""
     shared = {
         "hidden": draw(st.integers(1, 2048)),
         "embed_dim": draw(st.integers(1, 512)),
@@ -21,7 +23,7 @@ def model_configs(draw):
         "hf_gain": draw(st.floats(1.0, 64.0, allow_nan=False)),
     }
     if draw(st.booleans()):
-        return SrnnConfig(**shared), None
+        return SrnnConfig(**shared)
     # Frame sizes top-down, each a multiple (>= 2) of the one below.
     ratios = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
     sizes = [ratios[0]]
@@ -30,21 +32,25 @@ def model_configs(draw):
     frame_sizes = tuple(reversed(sizes))
     n_concat = draw(st.none() | st.tuples(*[st.integers(1, 8)] * (len(frame_sizes) + 1)))
     if not draw(st.booleans()):
-        return HrnnConfig(frame_sizes=frame_sizes, n_concat=n_concat, **shared), None
-    cond = {
-        "cond_frame_shift": frame_sizes[0] * draw(st.integers(2, 20)),
-        "cond_dim": draw(st.integers(1, 100)),
-        "cond_window_ms": draw(st.none() | st.floats(0.5, 100.0, allow_nan=False)),
-    }
-    return HrnnConfig(frame_sizes=frame_sizes, n_concat=n_concat, **cond, **shared), "file"
+        return HrnnConfig(frame_sizes=frame_sizes, n_concat=n_concat, **shared)
+    if draw(st.booleans()):
+        shift = MFCC_TRACK["cond_frame_shift"]
+        assume(shift % frame_sizes[0] == 0 and shift > frame_sizes[0])
+        cond = dict(MFCC_TRACK, cond_source=draw(st.sampled_from(["mfcc", "file"])))
+    else:
+        cond = {
+            "cond_frame_shift": frame_sizes[0] * draw(st.integers(2, 20)),
+            "cond_dim": draw(st.integers(1, 100)),
+            "cond_window_ms": draw(st.none() | st.floats(0.5, 100.0, allow_nan=False)),
+            "cond_source": "file",
+        }
+    return HrnnConfig(frame_sizes=frame_sizes, n_concat=n_concat, **cond, **shared)
 
 
 @settings(max_examples=200, deadline=None)
 @given(model_configs())
-def test_serialized_model_config_parses_back_equal(drawn):
-    cfg, cond_source = drawn
-    back = build_run_config(serialize_config(TrainConfig(model=cfg), cond_source=cond_source))
+def test_serialized_model_config_parses_back_equal(cfg):
+    back = build_run_config(serialize_config(TrainConfig(model=cfg)))
     assert back.model_cfg == cfg
-    assert back.cond_source == cond_source
     if isinstance(cfg, HrnnConfig):
         assert back.model_cfg.tiers == cfg.tiers

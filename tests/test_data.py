@@ -184,7 +184,7 @@ class TestBuildPair:
 
     def test_mfcc_conditions_attached(self):
         pair = build_pair(synth_wideband(3200))
-        track = condition_track(tiny_cfg(cond_frame_shift=160, cond_dim=39), "mfcc", pair.narrowband, None, "u")
+        track = condition_track(tiny_cfg(cond_frame_shift=160, cond_dim=39, cond_source="mfcc"), pair.narrowband, None, "u")
         pair = dataclasses.replace(pair, conditions=track)
         assert pair.conditions.dim == 39
         assert pair.conditions.frame_shift_samples == 160
@@ -354,9 +354,9 @@ class TestLoadPairs:
         manifest = load_manifest(man)
         # A model without a conditional tier reads no feature file.
         assert [p.conditions for p in load_pairs(manifest, tiny_cfg())] == [None, None]
-        chrnn = tiny_cfg(cond_frame_shift=160, cond_dim=39)
-        pairs_mfcc = load_pairs(manifest, chrnn, "mfcc")
+        chrnn = tiny_cfg(cond_frame_shift=160, cond_dim=39, cond_source="mfcc")
+        pairs_mfcc = load_pairs(manifest, chrnn)
         np.testing.assert_array_equal(pairs_mfcc[0].conditions.frames, track.frames)  # a file beats mfcc
         np.testing.assert_array_equal(pairs_mfcc[1].conditions.frames, narrowband_mfcc(pairs_mfcc[1].narrowband).frames)
         with pytest.raises(DataError, match="u1: the conditional tier needs a feature file"):
-            load_pairs(manifest, chrnn, "file")
+            load_pairs(manifest, dataclasses.replace(chrnn, cond_source="file"))

@@ -10,6 +10,7 @@ from bwex import nn
 from bwex.dsp import ConditionTrack, QuantizedWaveform
 from bwex.models import (
     GENERATE_CHUNK,
+    FieldError,
     Hrnn,
     HrnnConfig,
     Srnn,
@@ -65,6 +66,15 @@ class TestConfig:
             tiny_cfg(cond_frame_shift=32)
         cfg = tiny_cfg(cond_frame_shift=32, cond_dim=5)
         assert cfg.conditional and cfg.time_multiple == 32
+
+    def test_cond_source_belongs_to_a_conditional_tier(self):
+        assert tiny_cfg().cond_source is None
+        assert tiny_cfg(cond_frame_shift=32, cond_dim=5).cond_source == "file"
+        assert tiny_cfg(cond_frame_shift=32, cond_dim=5, cond_source="mfcc").cond_source == "mfcc"
+        with pytest.raises(FieldError, match="^cond_source needs a conditional tier, got 'mfcc'$"):
+            tiny_cfg(cond_source="mfcc")
+        with pytest.raises(FieldError, match="^cond_source must be mfcc or file, got 'wav'$"):
+            tiny_cfg(cond_frame_shift=32, cond_dim=5, cond_source="wav")
 
     def test_lookahead_covers_all_waveform_tiers(self):
         assert tiny_cfg().lookahead == 16
