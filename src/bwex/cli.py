@@ -72,9 +72,9 @@ def cmd_extend(args) -> int:
     ckpt = load_checkpoint(args.model)
     model, run_cfg = model_from_checkpoint(ckpt)
     narrowband = data.load_wav(args.input)
-    if narrowband.sample_rate_hz != data.NARROWBAND_RATE:
+    if narrowband.sample_rate_hz != dsp.NARROWBAND_RATE:
         raise data.DataError(
-            f"{args.input}: expected {data.NARROWBAND_RATE} Hz narrowband input,"
+            f"{args.input}: expected {dsp.NARROWBAND_RATE} Hz narrowband input,"
             f" got {narrowband.sample_rate_hz}"
         )
     if len(narrowband) == 0:
@@ -141,16 +141,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_features(args) -> int:
-    from . import data
+    from . import data, dsp
 
     if args.type != "mfcc":
         from .config import ConfigError
 
         raise ConfigError(f"unsupported feature type {args.type!r}")
     narrowband = data.load_wav(args.input)
-    if narrowband.sample_rate_hz != data.NARROWBAND_RATE:
+    if narrowband.sample_rate_hz != dsp.NARROWBAND_RATE:
         raise data.DataError(
-            f"{args.input}: expected {data.NARROWBAND_RATE} Hz input, got {narrowband.sample_rate_hz}"
+            f"{args.input}: expected {dsp.NARROWBAND_RATE} Hz input, got {narrowband.sample_rate_hz}"
         )
     track = data.narrowband_mfcc(narrowband)
     if track.n_frames == 0:
@@ -164,7 +164,7 @@ def cmd_features(args) -> int:
 
 def cmd_latency(args) -> int:
     from .config import build_run_config
-    from .data import WIDEBAND_RATE
+    from .dsp import WIDEBAND_RATE
     from .models import max_latency_ms
 
     text = Path(args.config).read_text(encoding="utf-8")

@@ -9,8 +9,8 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from .data import MFCC_TRACK
-from .models import FieldError, HrnnConfig, ModelConfig, SrnnConfig
+from .dsp import MFCC_TRACK
+from .models import FieldError, HrnnConfig, ModelConfig, SrnnConfig, build_model
 from .train import Checkpoint, CheckpointError, TrainConfig
 
 
@@ -42,9 +42,9 @@ _CONVERTERS = {
     "train": {f.name: type(f.default) for f in _TRAIN_FIELDS},
     "data": {"train_manifest": Path, "valid_manifest": Path},
 }
-# A chrnn's track defaults to the dims and frame shift of the MFCC track,
-# and a chrnn with `cond_source = mfcc` must take that track.
-_CHRNN_DEFAULTS = {key: MFCC_TRACK[key] for key in ("cond_dim", "cond_frame_shift")}
+# A chrnn defaults to the MFCC track: an mfcc source, and the track's dims
+# and frame shift. `HrnnConfig` holds an mfcc source to the whole track.
+_CHRNN_DEFAULTS = {"cond_source": "mfcc", **{key: MFCC_TRACK[key] for key in ("cond_dim", "cond_frame_shift")}}
 
 
 @dataclasses.dataclass
@@ -129,12 +129,7 @@ def build_run_config(text: str) -> RunConfig:
         elif kind == "hrnn":
             model_cfg = HrnnConfig(**model)
         else:
-            cond.setdefault("cond_source", "mfcc")
-            cond = {**(MFCC_TRACK if cond["cond_source"] == "mfcc" else _CHRNN_DEFAULTS), **cond}
-            model_cfg = HrnnConfig(**model, **cond)
-            for key, value in MFCC_TRACK.items():
-                if model_cfg.cond_source == "mfcc" and cond[key] != value:
-                    raise ConfigError(f"model.{key} must be {value} with model.cond_source = mfcc, got {cond[key]}")
+            model_cfg = HrnnConfig(**model, **{**_CHRNN_DEFAULTS, **cond})
         section = "train"
         train_cfg = TrainConfig(model=model_cfg, **_section(values, "train"))
     except FieldError as exc:
@@ -184,8 +179,6 @@ def model_from_checkpoint(ckpt: Checkpoint):
     the two share memory. Tensors that do not fit the configured
     architecture raise CheckpointError.
     """
-    from .models import build_model  # local import keeps module load light
-
     run_cfg = build_run_config(ckpt.config_text)
     try:
         model = build_model(run_cfg.model_cfg, params=ckpt.params)

@@ -29,20 +29,6 @@ class DataError(ValueError):
     """Malformed corpus input: file formats, manifests, rates, lengths."""
 
 
-NARROWBAND_RATE = 8000
-WIDEBAND_RATE = 16000
-
-# The track a chrnn's conditional tier reads when `cond_source = mfcc`:
-# `narrowband_mfcc`'s frames, their shift counted in wideband samples so
-# that it lines up with model samples, and the analysis window the
-# latency counts.
-MFCC_TRACK = {
-    "cond_dim": dsp.MFCC_DIM,
-    "cond_frame_shift": int(round(dsp.MFCC_SHIFT_MS * WIDEBAND_RATE / 1000)),
-    "cond_window_ms": dsp.MFCC_WINDOW_MS,
-}
-
-
 # ---------------------------------------------------------------------------
 # WAV files (RIFF/WAVE, 16-bit signed little-endian PCM, mono)
 # ---------------------------------------------------------------------------
@@ -222,12 +208,12 @@ def build_pair(
     and twice the narrowband signal all have one length.
     """
     name = utt_id or "utterance"
-    if wideband.sample_rate_hz != WIDEBAND_RATE:
-        raise DataError(f"{name}: expected {WIDEBAND_RATE} Hz wideband input, got {wideband.sample_rate_hz}")
+    if wideband.sample_rate_hz != dsp.WIDEBAND_RATE:
+        raise DataError(f"{name}: expected {dsp.WIDEBAND_RATE} Hz wideband input, got {wideband.sample_rate_hz}")
     if len(wideband) < 2:
         raise DataError(f"{name}: {len(wideband)} samples, a training pair needs at least 2")
     if len(wideband) % 2:
-        wideband = Waveform(wideband.samples[:-1], WIDEBAND_RATE)
+        wideband = Waveform(wideband.samples[:-1], dsp.WIDEBAND_RATE)
     narrowband = dsp.downsample2(wideband)
     input_levels = dsp.mulaw_encode(dsp.upsample2(narrowband))
     if strategy == "wb":
@@ -247,8 +233,8 @@ def build_pair(
 
 def narrowband_mfcc(narrowband: Waveform) -> ConditionTrack:
     """The MFCC track of the narrowband signal, with the frame shift
-    re-expressed in wideband samples (see MFCC_TRACK)."""
-    return ConditionTrack(dsp.mfcc(narrowband).frames, MFCC_TRACK["cond_frame_shift"])
+    re-expressed in wideband samples (see `dsp.MFCC_TRACK`)."""
+    return ConditionTrack(dsp.mfcc(narrowband).frames, dsp.MFCC_TRACK["cond_frame_shift"])
 
 
 def condition_track(model_cfg: ModelConfig, narrowband: Waveform, feature_path, name: str) -> ConditionTrack | None:

@@ -24,6 +24,17 @@ MFCC_MEL_FILTERS = 26
 MFCC_CEPSTRA = 13
 MFCC_DIM = 3 * MFCC_CEPSTRA
 
+NARROWBAND_RATE = 8000
+WIDEBAND_RATE = 16000
+
+# The track of an mfcc-fed conditional tier, which `HrnnConfig` holds it to: narrowband
+# `mfcc` frames, shifted in wideband samples, and the window the latency counts.
+MFCC_TRACK = {
+    "cond_dim": MFCC_DIM,
+    "cond_frame_shift": int(round(MFCC_SHIFT_MS * WIDEBAND_RATE / 1000)),
+    "cond_window_ms": MFCC_WINDOW_MS,
+}
+
 
 @dataclasses.dataclass(frozen=True)
 class Waveform:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .dsp import ConditionTrack, QuantizedWaveform, decode_levels
+from .dsp import MFCC_TRACK, ConditionTrack, QuantizedWaveform, decode_levels
 
 PAD_LEVEL = 128  # mu-law level of zero amplitude
 GENERATE_CHUNK = 2048  # output samples per forward pass of `generate` (128 ms)
@@ -111,8 +111,9 @@ class HrnnConfig(_SharedConfig):
     above everything that consumes cond_dim-dim feature frames at that
     shift; cond_window_ms is their analysis window, counted in the
     latency; cond_source is "mfcc" (narrowband MFCCs unless a feature
-    file is given) or "file" (the default: a feature file only). The
-    defaults reproduce the reference system: frame sizes (16, 4, 1), two
+    file is given) or "file" (the default: a feature file only). An mfcc
+    tier must take `dsp.MFCC_TRACK`, whose dim and window it defaults to.
+    The defaults reproduce the reference system: frame sizes (16, 4, 1), two
     concatenated frames on both frame tiers, and four concatenated
     embeddings at the sample tier.
 
@@ -136,6 +137,10 @@ class HrnnConfig(_SharedConfig):
             raise FieldError("cond_source", f"needs a conditional tier, got {source!r}")
         elif source not in ("mfcc", "file"):
             raise FieldError("cond_source", f"must be mfcc or file, got {source!r}")
+        elif source == "mfcc":
+            for key in ("cond_dim", "cond_window_ms"):
+                if getattr(self, key) is None:
+                    object.__setattr__(self, key, MFCC_TRACK[key])
         if not frame_sizes:
             raise FieldError("frame_sizes", "must list at least one frame tier")
         if any(size < 1 for size in frame_sizes):
@@ -167,6 +172,10 @@ class HrnnConfig(_SharedConfig):
                 raise FieldError(field, f"{above}, which does not divide it")
         if shift is not None and (self.cond_dim is None or self.cond_dim < 1):
             raise FieldError("cond_dim", f"must be >= 1 for a conditional tier, got {self.cond_dim}")
+        if source == "mfcc":  # after the range checks, so that an out-of-range value says so
+            for key, value in MFCC_TRACK.items():
+                if getattr(self, key) != value:
+                    raise FieldError(key, f"must be {value} with model.cond_source = mfcc, got {getattr(self, key)}")
         object.__setattr__(self, "tiers", tuple(tiers))
 
     @classmethod

@@ -17,7 +17,6 @@ from bwex import nn
 from bwex.cli import main
 from bwex.config import build_run_config, serialize_config
 from bwex.data import (
-    MFCC_TRACK,
     DataError,
     build_pair,
     condition_track,
@@ -27,7 +26,7 @@ from bwex.data import (
     save_features,
     save_wav,
 )
-from bwex.dsp import ConditionTrack, Waveform
+from bwex.dsp import MFCC_TRACK, ConditionTrack, Waveform
 from bwex.models import HrnnConfig, SrnnConfig, build_model
 from bwex.train import Checkpoint, save_checkpoint
 

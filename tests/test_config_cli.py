@@ -16,7 +16,7 @@ from bwex.cli import main
 from bwex.config import ConfigError, build_run_config, parse_config_text, serialize_config
 from bwex.data import load_features, load_wav, narrowband_mfcc, save_features, save_wav
 from bwex.dsp import Waveform
-from bwex.models import HrnnConfig, SrnnConfig
+from bwex.models import FieldError, HrnnConfig, SrnnConfig, max_latency_ms
 from bwex.train import TrainConfig
 
 
@@ -179,6 +179,20 @@ class TestConfigText:
         assert back.model_cfg.tiers == model.tiers
         assert back.model_cfg == model
         assert back.model_cfg.cond_source == source
+
+    def test_an_mfcc_config_built_in_code_off_the_track_is_rejected(self):
+        # So serialize_config cannot write mfcc text that the parser rejects.
+        with pytest.raises(FieldError) as caught:
+            HrnnConfig(cond_frame_shift=160, cond_dim=10, cond_source="mfcc")
+        assert caught.value.field == "cond_dim"
+
+    def test_an_mfcc_config_built_in_code_takes_the_track_window(self):
+        model = HrnnConfig(cond_frame_shift=160, cond_dim=39, cond_source="mfcc")
+        assert model.cond_window_ms == 25.0
+        assert max_latency_ms(model, 16000) == 25.0
+        back = build_run_config(serialize_config(TrainConfig(model=model))).model_cfg
+        assert back == model
+        assert max_latency_ms(back, 16000) == 25.0
 
     def test_mfcc_default_is_the_track_narrowband_mfcc_makes(self):
         model = build_run_config("model.kind = chrnn").model_cfg

@@ -70,7 +70,9 @@ class TestConfig:
     def test_cond_source_belongs_to_a_conditional_tier(self):
         assert tiny_cfg().cond_source is None
         assert tiny_cfg(cond_frame_shift=32, cond_dim=5).cond_source == "file"
-        assert tiny_cfg(cond_frame_shift=32, cond_dim=5, cond_source="mfcc").cond_source == "mfcc"
+        # An mfcc source is held to the MFCC track, which a 5-dim track at a 32-sample shift is not.
+        with pytest.raises(FieldError):
+            tiny_cfg(cond_frame_shift=32, cond_dim=5, cond_source="mfcc")
         with pytest.raises(FieldError, match="^cond_source needs a conditional tier, got 'mfcc'$"):
             tiny_cfg(cond_source="mfcc")
         with pytest.raises(FieldError, match="^cond_source must be mfcc or file, got 'wav'$"):
