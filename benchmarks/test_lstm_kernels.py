@@ -6,9 +6,11 @@ and `nn.lstm_backward`, time per step, single-threaded.
 
 Tier-1 does not collect this file (`testpaths` is `tests` and `bench`).
 The cases are (hidden, batch, steps): a paper-scale tier at B=1, a
-mid-scale training batch, a long mid-scale sequence at B=2 and a long
-desk-scale sequence. `test_lstm_forward_inference` runs the uncached
-forward that `generate` and `validate` use. Each benchmark's `extra_info`
+mid-scale training batch, a long mid-scale sequence at B=2, a long
+desk-scale sequence, and the two desk-scale calls `generate` makes per
+2048-sample chunk, 512 steps of the intermediate tier and 128 of the top
+tier, where the per-call set-up counts. `test_lstm_forward_inference`
+runs the uncached forward that `generate` and `validate` use. Each benchmark's `extra_info`
 holds the time per step of its fastest round and the tracemalloc peak of
 one untimed call.
 
@@ -40,7 +42,7 @@ import pytest  # noqa: E402
 
 from bwex import nn  # noqa: E402
 
-CASES = [(1024, 1, 300), (256, 4, 120), (256, 2, 1200), (32, 1, 4000)]
+CASES = [(1024, 1, 300), (256, 4, 120), (256, 2, 1200), (32, 1, 4000), (32, 1, 512), (32, 1, 128)]
 PRODUCT_CASES = [(256, 2), (256, 4), (256, 64), (1024, 4), (1024, 8), (1024, 64)]
 
 

@@ -128,6 +128,17 @@ def _split_gates(z, hidden):
 SMALL_GEMM_MNK = 10**6
 SMALL_GEMM_MAX_COLS = 8
 
+# `lstm_forward` pre-scales its gate operands when the call has at least
+# one step per PRESCALE_WEIGHTS_PER_STEP recurrent weights: 17 steps at
+# h=32, 1049 at h=256 and 16778 at h=1024. Pre-scaling makes each step one
+# call shorter, which saves a call's fixed cost whatever the batch, since
+# the scaling's element work only moves from the steps to the input
+# projection; it costs a copy of the [4H, H] weights per call. Uncached,
+# alternating calls in one process on the host above, B=1: at h=32 it was
+# 3% slower at T=8 and 2%, 7% and 9% faster at T=16, 128 and 512; at h=256
+# it was 10% slower at T=128 and 4% slower at T=512.
+PRESCALE_WEIGHTS_PER_STEP = 250
+
 
 def _row_slices(rows: int, cols: int, inner: int) -> list:
     """Slices that split the rows of a product [rows, inner] x [inner, cols]
@@ -157,34 +168,54 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     """Run the cell over the time axis of x [B, T, n_in].
 
     Returns (h_seq [B, T, H], (h_last, c_last), cache). A step allocates
-    no buffer: it works in one reused gate-major gate buffer [4H, B],
-    whose i, f, g and o blocks are contiguous, and in [H, B] buffers for
-    c and tanh(c), and writes h into its C-ordered [H, B] slot of a
-    step-major [T, H, B] buffer, the right operand of the next step's
-    recurrent product. Only with `cache` does it copy the gates, c and
-    tanh(c) into the [B, T, .] rows that `lstm_backward` reads. Without
-    it the cache is None.
+    no buffer: it works in one reused gate-major buffer [5H, B] whose
+    contiguous [H, B] blocks hold c and the i, f, g and o gates, in that
+    order, and in an [H, B] buffer for tanh(c), and writes h into its
+    C-ordered [H, B] slot of a step-major [T, H, B] buffer, the right
+    operand of the next step's recurrent product. With its gate operands
+    pre-scaled (below) a step is nine numpy calls: the recurrent product
+    (one per row block), the input add, one tanh over the gates, their
+    scale and shift, one product that forms c f and i g side by side,
+    their sum, tanh(c) and the h product. Only with `cache` does it copy
+    the gates, c and tanh(c) into the [B, T, .] rows that `lstm_backward`
+    reads. Without it the cache is None.
     """
     _check_last_dim("lstm_forward", x, p.input_weights.shape[1])
     batch, steps, _ = x.shape
     hidden = p.hidden
     if h0.shape != (batch, hidden) or c0.shape != (batch, hidden):
         raise ShapeError(f"lstm_forward: states {h0.shape}/{c0.shape} do not match (batch, hidden) = {(batch, hidden)}")
+    # The logistic is 1/2 + tanh(z/2)/2, so one tanh pass serves all four
+    # packed gates once the i, f and o pre-activations are halved; after
+    # the tanh a step scales the gates by the same factors (1/2 on the i, f
+    # and o rows, 1 on the cell rows) and shifts them by 1 - factor. A call
+    # long enough to pay for it (see PRESCALE_WEIGHTS_PER_STEP) halves the
+    # operands once: the input projection, after its bias, and a copy of
+    # the recurrent weights. Otherwise each step scales its pre-activation.
+    # Every factor is a power of two, so each product and sum of scaled
+    # operands is exactly the scaled product or sum, and both ways give the
+    # same bits, unless one of those values, or a pre-activation, is
+    # subnormal, where halving can drop a bit. The step's scale and shift
+    # have the shape of the gates: at h=32, B=1 a same-shape operand
+    # multiplies in about 60% of the time of a broadcast one.
+    row_scale = np.full(4 * hidden, 0.5, dtype=x.dtype)
+    row_scale[2 * hidden : 3 * hidden] = 1.0
+    scale = np.repeat(row_scale[:, None], batch, axis=1)
+    shift = 1.0 - scale
     x_proj = x @ p.input_weights.T  # hoisted: one big matmul
     x_proj += p.biases
+    weights = p.recurrent_weights
+    prescaled = steps * PRESCALE_WEIGHTS_PER_STEP >= weights.size
+    if prescaled:
+        x_proj *= row_scale
+        weights = weights * row_scale[:, None]
     h_steps = np.empty((steps, hidden, batch), dtype=x.dtype)
-    g = np.empty((4 * hidden, batch), dtype=x.dtype)
-    gi, gf, gg, go = np.split(g, 4)  # contiguous [H, B] blocks
-    # The logistic is 1/2 + tanh(z/2)/2, so one tanh pass serves all four
-    # packed gates: the i, f and o slots are scaled by 1/2 on the way in
-    # and out and shifted by 1/2, the cell slot by 1 and 0. Both factors
-    # are powers of two, hence exact. They have the shape of the gates: at
-    # h=32, B=1 a same-shape operand multiplies in about 60% of the time
-    # of a broadcast one.
-    scale = np.full_like(g, 0.5)
-    scale[2 * hidden : 3 * hidden] = 1.0
-    shift = 1.0 - scale
-    c = c0.T.astype(x.dtype, order="C")
+    cell = np.empty((5 * hidden, batch), dtype=x.dtype)
+    c, g, go = cell[:hidden], cell[hidden : 5 * hidden], cell[4 * hidden :]
+    # One product forms c f in the c slot and i g in the i slot; their sum
+    # is the new c.
+    c_i, f_g, i_g = cell[: 2 * hidden], cell[2 * hidden : 4 * hidden], cell[hidden : 2 * hidden]
+    c[...] = c0.T
     tc = np.empty_like(c)
     if cache:
         gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
@@ -194,7 +225,6 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     # row blocks under SMALL_GEMM_MNK at B > 1; `dot` writes each block
     # straight into its rows of g, without the np.dot dispatcher or a
     # result array.
-    weights = p.recurrent_weights
     products = [(weights[rows], g[rows]) for rows in _row_slices(4 * hidden, batch, hidden)]
     # At h=32, B=1 a step is a few µs of small-array calls, so the loop
     # binds the ufuncs locally and passes `out` by position: each saves
@@ -207,16 +237,18 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
         for weight_rows, g_rows in products:
             weight_rows.dot(h_t, g_rows)
         g += x_t
-        g *= scale
+        if not prescaled:
+            g *= scale
         tanh(g, g)  # saturates without overflow
         g *= scale
         g += shift
-        c *= gf
-        c += multiply(gi, gg, tc)
+        if cache:
+            gates[:, t] = g.T  # before the product overwrites i
+        multiply(c_i, f_g, c_i)
+        c += i_g
         tanh(c, tc)
         h_t = multiply(go, tc, h_next)
         if cache:
-            gates[:, t] = g.T
             c_seq[:, t] = c.T
             tanh_c[:, t] = tc.T
     h_seq = np.ascontiguousarray(h_steps.transpose(2, 0, 1))  # no copy at B = 1
@@ -345,12 +377,14 @@ def embed_backward(table: EmbeddingTable, levels: np.ndarray, dy: np.ndarray) ->
 # Masked softmax cross-entropy
 # ---------------------------------------------------------------------------
 
-def softmax_ce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
-    """Mean masked cross-entropy and its gradient w.r.t. the logits.
+def masked_ce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    """Mean masked cross-entropy, with the terms its gradient reuses.
 
-    logits [N, V], targets [N] ints, mask [N] bools. Masked positions
-    contribute exactly zero loss and zero gradient. An all-masked batch is
-    defined as loss 0 with zero gradients (flagged via a warning).
+    logits [N, V], targets [N] ints, mask [N] bools. Returns (loss, exp,
+    denom): exp holds exp(logits - row max) [N, V] and denom its row sums
+    [N, 1]. Masked positions contribute exactly zero loss. An all-masked
+    batch is defined as loss 0 (flagged via a warning), with exp and denom
+    None.
     """
     logits = np.asarray(logits)
     targets = np.asarray(targets).reshape(-1)
@@ -359,20 +393,36 @@ def softmax_ce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
         raise ValueError("targets out of range for the logit alphabet")
     n_valid = int(mask.sum())
     if n_valid == 0:
-        warnings.warn("softmax_ce: all positions masked; loss defined as 0", stacklevel=2)
-        return 0.0, np.zeros_like(logits)
-    # Two [N, V] temporaries: the shifted logits, and their exp, which is
-    # divided in place into the softmax. The log-probability is formed
-    # only at the targets.
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    dlogits = np.exp(shifted)
-    denom = dlogits.sum(axis=-1, keepdims=True)
+        warnings.warn("masked_ce: all positions masked; loss defined as 0", stacklevel=2)
+        return 0.0, None, None
+    # One [N, V] temporary: the shifted logits, read at the targets and
+    # then exponentiated in place. The log-probability is formed only at
+    # the targets.
+    exp = logits - logits.max(axis=-1, keepdims=True)
     rows = np.arange(len(targets))
-    losses = -(shifted[rows, targets] - np.log(denom)[:, 0]) * mask
-    loss = float(losses.sum() / n_valid)
+    target_shifted = exp[rows, targets]
+    np.exp(exp, out=exp)
+    denom = exp.sum(axis=-1, keepdims=True)
+    losses = -(target_shifted - np.log(denom)[:, 0]) * mask
+    return float(losses.sum() / n_valid), exp, denom
+
+
+def softmax_ce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    """Mean masked cross-entropy and its gradient w.r.t. the logits.
+
+    Takes the arguments of `masked_ce`. Masked positions contribute exactly
+    zero loss and zero gradient; an all-masked batch has zero gradients.
+    The gradient is the softmax, divided in place from `masked_ce`'s exp,
+    minus one at the targets, scaled by mask / n_valid.
+    """
+    targets = np.asarray(targets).reshape(-1)
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    loss, dlogits, denom = masked_ce(logits, targets, mask)
+    if dlogits is None:
+        return loss, np.zeros_like(logits)
     dlogits /= denom
-    dlogits[rows, targets] -= 1.0
-    dlogits *= (mask / n_valid)[:, None].astype(logits.dtype)
+    dlogits[np.arange(len(targets)), targets] -= 1.0
+    dlogits *= (mask / mask.sum())[:, None].astype(dlogits.dtype)
     return loss, dlogits
 
 

@@ -195,7 +195,7 @@ def validate(model, pairs, batch_size: int = 8):
             flat = logits.reshape(-1, logits.shape[-1])
             targets = chunk.targets.reshape(-1)
             mask = chunk.mask.reshape(-1)
-            loss = nn.softmax_ce(flat, targets, mask)[0]
+            loss = nn.masked_ce(flat, targets, mask)[0]
             total_ce += loss * n_valid
             total_hits += int(np.sum((np.argmax(flat, axis=-1) == targets) & mask))
             count += n_valid

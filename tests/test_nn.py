@@ -25,6 +25,7 @@ from bwex.nn import (
     grad_check,
     lstm_backward,
     lstm_forward,
+    masked_ce,
     softmax_ce,
 )
 
@@ -328,6 +329,52 @@ def _former_lstm_forward(p, x, h0, c0):
     return h_seq, (h_seq[:, -1].copy(), c)
 
 
+def _per_step_scaled_lstm_forward(p, x, h0, c0, cache=True):
+    """The step body `lstm_forward` ran before it pre-scaled its gate
+    operands: the logistic's 1/2 applied to the gates in every step, c in
+    a buffer of its own, and the cell update as three calls. Returns
+    (h_seq, (h_last, c_last), rows), rows holding the gates, c and
+    tanh(c) when `cache` is set."""
+    batch, steps, _ = x.shape
+    hidden = p.hidden
+    x_proj = x @ p.input_weights.T
+    x_proj += p.biases
+    h_steps = np.empty((steps, hidden, batch), dtype=x.dtype)
+    g = np.empty((4 * hidden, batch), dtype=x.dtype)
+    gi, gf, gg, go = np.split(g, 4)
+    scale = np.full_like(g, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    shift = 1.0 - scale
+    c = c0.T.astype(x.dtype, order="C")
+    tc = np.empty_like(c)
+    if cache:
+        gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
+        c_seq = np.empty((batch, steps, hidden), dtype=x.dtype)
+        tanh_c = np.empty_like(c_seq)
+    weights = p.recurrent_weights
+    products = [(weights[rows], g[rows]) for rows in nn._row_slices(4 * hidden, batch, hidden)]
+    h_t = np.ascontiguousarray(h0.T, dtype=x.dtype)
+    for t, (x_t, h_next) in enumerate(zip(x_proj.transpose(1, 2, 0), h_steps)):
+        for weight_rows, g_rows in products:
+            weight_rows.dot(h_t, g_rows)
+        g += x_t
+        g *= scale
+        np.tanh(g, g)
+        g *= scale
+        g += shift
+        c *= gf
+        c += np.multiply(gi, gg, tc)
+        np.tanh(c, tc)
+        h_t = np.multiply(go, tc, h_next)
+        if cache:
+            gates[:, t] = g.T
+            c_seq[:, t] = c.T
+            tanh_c[:, t] = tc.T
+    h_seq = np.ascontiguousarray(h_steps.transpose(2, 0, 1))
+    rows = {"gates": gates, "c": c_seq, "tanh_c": tanh_c} if cache else None
+    return h_seq, (h_seq[:, -1].copy(), c.T), rows
+
+
 def _dyadic(rng, shape, dtype, denom=8):
     return (rng.integers(-denom, denom + 1, shape) / denom).astype(dtype)
 
@@ -490,6 +537,33 @@ class TestLstmInference:
         np.testing.assert_array_equal(h_last, want_h_last)
         np.testing.assert_array_equal(c_last, want_c_last)
 
+    @pytest.mark.parametrize("prescaled", [False, True])
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [8, 32, 256])
+    @pytest.mark.parametrize("batch", [1, 2, 4, 9])
+    def test_equals_the_per_step_scaled_body_on_real_data(self, monkeypatch, batch, hidden, dtype, cache, prescaled):
+        # Pre-scaled operands must round as the former per-step scaling
+        # did, on non-dyadic data, and so must the merged cell update on
+        # either path. B=4 at h=256 is row-blocked, and B=9 is above
+        # nn.SMALL_GEMM_MAX_COLS.
+        monkeypatch.setattr(nn, "PRESCALE_WEIGHTS_PER_STEP", 10**9 if prescaled else 0)
+        rng = np.random.default_rng(100 * batch + hidden)
+        n_in, steps = 5, 40
+        p = LstmParams.create(hidden, n_in, rng, dtype=dtype)
+        p.biases[...] = rng.standard_normal(4 * hidden)
+        x = rng.standard_normal((batch, steps, n_in)).astype(dtype)
+        h0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        c0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        want_h, (want_h_last, want_c_last), want_rows = _per_step_scaled_lstm_forward(p, x, h0, c0, cache)
+        h_seq, (h_last, c_last), got = lstm_forward(p, x, h0, c0, cache=cache)
+        np.testing.assert_array_equal(h_seq, want_h)
+        np.testing.assert_array_equal(h_last, want_h_last)
+        np.testing.assert_array_equal(c_last, want_c_last)
+        assert (got is None) == (not cache)
+        for name, want in (want_rows or {}).items():
+            np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)
+
     def test_states_in_another_dtype_are_cast(self):
         rng = np.random.default_rng(6)
         p = LstmParams.create(8, 3, rng)
@@ -575,6 +649,19 @@ class TestSoftmaxCe:
         with pytest.warns(UserWarning):
             loss, dlogits = softmax_ce(logits, targets, np.zeros(512, bool))
         assert loss == 0.0 and dlogits.dtype == np.float32 and not dlogits.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_ce_gives_the_loss_of_the_former_body(self, dtype):
+        rng = np.random.default_rng(8)
+        logits = (rng.standard_normal((300, 256)) * 4).astype(dtype)
+        targets = rng.integers(0, 256, 300)
+        mask = rng.random(300) < 0.8
+        loss, exp, denom = masked_ce(logits, targets, mask)
+        assert loss == _former_softmax_ce(logits, targets, mask)[0]
+        np.testing.assert_array_equal(exp, np.exp(logits - logits.max(axis=-1, keepdims=True)))
+        np.testing.assert_array_equal(denom, exp.sum(axis=-1, keepdims=True))
+        with pytest.warns(UserWarning):
+            assert masked_ce(logits, targets, np.zeros(300, bool)) == (0.0, None, None)
 
     def test_uniform_logits(self):
         logits = np.zeros((3, 256))

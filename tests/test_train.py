@@ -3,9 +3,13 @@ validation purity, and the checkpoint file format."""
 
 import dataclasses
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,32 @@ class TestDroppedRows:
         assert all(chunk is whole for chunk, whole in zip(walked, made))
 
 
+# train() on one batch of three unequal rows: with chunks of 480 the
+# 1200-sample row leaves the walk after its third chunk and the
+# 2400-sample row after its fifth, so every later update, and the
+# validation walk, runs on fewer rows than the batch holds. At B = 3 the
+# bits depend on the BLAS thread count, which is fixed once numpy loads,
+# so the run happens in a child process with BLAS on one thread.
+DROPPED_ROWS_GOLDEN = "5ec66960f4e9659b322bbdcc573327925097526dd6de7d61f2f7d6d3180d3878"
+
+
+def dropped_rows_digest() -> str:
+    pairs = pairs_of_lengths((3200, 2400, 1200))
+    result = train(toy_cfg(batch_size=3, max_epochs=2, chunk_len=480), pairs, pairs)
+    return params_digest(result.checkpoint.params)
+
+
+def test_train_on_a_batch_that_drops_rows_is_pinned():
+    tests = Path(__file__).resolve().parent
+    path = filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    argv = [sys.executable, "-c", "import test_train; print(test_train.dropped_rows_digest())"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == DROPPED_ROWS_GOLDEN
+
+
 class TestValidate:
     def test_does_not_mutate_params(self):
         pairs = toy_pairs()
@@ -305,6 +335,15 @@ class TestValidate:
         before = params_digest(model.params)
         validate(model, pairs)
         assert params_digest(model.params) == before
+
+    def test_forms_no_gradient(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("validate called softmax_ce")
+
+        model = build_model(toy_cfg().model, rng=0)
+        want = validate(model, toy_pairs())
+        monkeypatch.setattr(nn, "softmax_ce", refused)
+        assert validate(model, toy_pairs()) == want
 
     def test_untrained_model_near_chance(self):
         pairs = toy_pairs(n_utts=4, n_samples=1000)
