@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dsp
 from .dsp import ConditionTrack, QuantizedWaveform, Waveform
-from .models import ModelConfig, align_condition_frames, PAD_LEVEL
+from .models import ModelConfig, PaddedBatch, align_condition_frames, PAD_LEVEL
 
 
 class DataError(ValueError):
@@ -289,30 +289,6 @@ def check_conditions(track: ConditionTrack, model_cfg: ModelConfig, name: str):
 # Batching
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
-class PaddedBatch:
-    """One mini-batch, or a TBPTT chunk of one, padded to a shared, model-aligned length.
-
-    inputs carry the lookahead tail beyond n_steps; targets and mask cover
-    the n_steps output region; mask is true exactly on pre-padding
-    positions.
-    """
-
-    inputs: np.ndarray        # [B, n_steps + lookahead] int32
-    targets: np.ndarray       # [B, n_steps] int32
-    mask: np.ndarray          # [B, n_steps] bool
-    conditions: np.ndarray | None  # [B, n_steps / top_frame_size, dim] float32
-    utt_ids: tuple[str, ...]
-
-    @property
-    def n_steps(self) -> int:
-        return self.targets.shape[1]
-
-    @property
-    def valid_lens(self) -> np.ndarray:  # [B] int
-        return self.mask.sum(axis=1)
-
-
 def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
     if not pairs:
         raise DataError("cannot build an empty batch")
@@ -371,21 +347,6 @@ def tbptt_chunks(batch: PaddedBatch, chunk_len: int, model_cfg: ModelConfig):
     if chunk_len < 1:
         raise DataError("chunk_len must be >= 1")
     multiple = model_cfg.time_multiple
-    lookahead = model_cfg.lookahead
     chunk_len = -(-chunk_len // multiple) * multiple
-    chunks = []
-    for start in range(0, batch.n_steps, chunk_len):
-        stop = min(start + chunk_len, batch.n_steps)
-        conditions = None
-        if batch.conditions is not None:
-            conditions = batch.conditions[:, start // multiple : stop // multiple]
-        chunks.append(
-            PaddedBatch(
-                inputs=batch.inputs[:, start : stop + lookahead],
-                targets=batch.targets[:, start:stop],
-                mask=batch.mask[:, start:stop],
-                conditions=conditions,
-                utt_ids=batch.utt_ids,
-            )
-        )
-    return chunks
+    edges = list(range(0, batch.n_steps, chunk_len)) + [batch.n_steps]
+    return [batch.window(start, stop, model_cfg) for start, stop in zip(edges, edges[1:])]

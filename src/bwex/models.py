@@ -15,10 +15,10 @@ distribution over output levels at every sample:
   (e.g. MFCCs) instead of waveform frames.
 
 Both models are non-autoregressive: every input is the known narrowband
-waveform, so generation is a deterministic argmax over logits. `generate`
-runs the forward in fixed-length chunks that carry each LSTM's state into
-the next, which bounds its memory and gives the same levels as one pass
-over the whole utterance.
+waveform, so generation is a deterministic argmax over logits. Generation,
+validation and training share one walk, `forward_chunks`, over chunks that
+carry each LSTM's state into the next. It bounds memory, and `generate`
+gives the same levels on it as one pass over the whole utterance.
 """
 
 from __future__ import annotations
@@ -231,6 +231,43 @@ def pad_for_model(x, cfg: ModelConfig):
     mask = np.zeros(n_steps, dtype=bool)
     mask[:valid_len] = True
     return padded, valid_len, mask
+
+
+@dataclasses.dataclass
+class PaddedBatch:
+    """One mini-batch, or a chunk of one, padded to a shared, model-aligned length.
+
+    inputs carry the lookahead tail beyond n_steps; targets and mask cover
+    the n_steps output region; mask is true exactly on pre-padding
+    positions. targets is None for a batch without targets, such as the
+    one `generate` walks.
+    """
+
+    inputs: np.ndarray        # [B, n_steps + lookahead] int32
+    targets: np.ndarray | None  # [B, n_steps] int32
+    mask: np.ndarray          # [B, n_steps] bool
+    conditions: np.ndarray | None  # [B, n_steps / top_frame_size, dim] float32
+    utt_ids: tuple[str, ...]
+
+    @property
+    def n_steps(self) -> int:
+        return self.mask.shape[1]
+
+    @property
+    def valid_lens(self) -> np.ndarray:  # [B] int
+        return self.mask.sum(axis=1)
+
+    def window(self, start: int, stop: int, cfg: ModelConfig) -> "PaddedBatch":
+        """The view of output steps start..stop, whole top-tier frames of
+        cfg, with the lookahead tail that a forward over it reads."""
+        multiple = cfg.time_multiple
+        return PaddedBatch(
+            inputs=self.inputs[:, start : stop + cfg.lookahead],
+            targets=None if self.targets is None else self.targets[:, start:stop],
+            mask=self.mask[:, start:stop],
+            conditions=None if self.conditions is None else self.conditions[:, start // multiple : stop // multiple],
+            utt_ids=self.utt_ids,
+        )
 
 
 def _frame_inputs(x: np.ndarray, frame_size: int, n_concat: int, n_steps: int) -> np.ndarray:
@@ -597,36 +634,70 @@ def build_model(cfg: ModelConfig, rng=None, dtype=np.float32, params: dict | Non
 # Generation and latency
 # ---------------------------------------------------------------------------
 
+def forward_chunks(model, chunks, cache: bool = True):
+    """Yield (chunk, n_valid, logits, cache) per chunk of `chunks`, the list of
+    consecutive `PaddedBatch.window`s of one batch, carrying every LSTM state
+    into the next; each forward runs on demand, after any update to the one before.
+
+    A row whose mask has ended before a chunk leaves the walk there: the
+    chunk holds only the rows still valid at its first position, in batch
+    order, and each carried state shrinks to them. Masks are prefixes, so
+    a dropped row would add only exact zeros to the loss and gradients.
+    The consumer must drop its references to a chunk's logits and cache
+    before asking for the next one, so that two never coexist.
+    """
+    state = None
+    n_rows = chunks[0].mask.shape[0]
+    live = np.arange(n_rows)  # the batch rows still in the walk
+    for chunk in chunks:
+        keep = chunk.mask[live, 0]
+        if not keep.all():
+            live = live[keep]
+            if live.size == 0:
+                break  # masks are prefixes: nothing valid remains
+            if state is not None:
+                state = {k: (h[keep], c[keep]) for k, (h, c) in state.items()}
+        if live.size < n_rows:
+            chunk = dataclasses.replace(
+                chunk,
+                inputs=chunk.inputs[live],
+                targets=None if chunk.targets is None else chunk.targets[live],
+                mask=chunk.mask[live],
+                conditions=None if chunk.conditions is None else chunk.conditions[live],
+                utt_ids=tuple(chunk.utt_ids[i] for i in live),
+            )
+        logits, fwd_cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state, cache=cache)
+        yield chunk, int(chunk.mask.sum()), logits, fwd_cache
+        del logits, fwd_cache
+
+
 def generate(model, x: QuantizedWaveform, conditions: ConditionTrack | None = None) -> QuantizedWaveform:
     """Map input levels to output levels by argmax decoding.
 
     The padded output region is split into near-equal chunks of whole
     top-tier frames, each at most GENERATE_CHUNK samples unless a single
-    frame is longer. Each chunk runs one inference forward over its input
-    slice plus the lookahead tail, carrying every LSTM state into the
-    next chunk: the slicing of `data.tbptt_chunks`, so the levels equal
-    those of one forward over the whole utterance, and memory does not
-    grow with its length. Ties resolve to the lowest level; the output is
-    truncated back to the input's length. Purely deterministic.
+    frame is longer, and `forward_chunks` walks them uncached: the levels
+    equal those of one forward over the whole utterance, and memory does
+    not grow with its length. Ties resolve to the lowest level; the output
+    is truncated back to the input's length. Purely deterministic.
     """
     cfg = model.cfg
-    padded, valid_len, _ = pad_for_model(x, cfg)
+    padded, valid_len, mask = pad_for_model(x, cfg)
     multiple = cfg.time_multiple
-    n_frames = (len(padded) - cfg.lookahead) // multiple
+    n_frames = len(mask) // multiple
     frames = None
     if conditions is not None:
         frames = align_condition_frames(conditions.frames, n_frames)[None]
+    whole = PaddedBatch(padded[None], None, mask[None], frames, ("",))
     n_chunks = -(-n_frames // max(1, GENERATE_CHUNK // multiple))
-    levels = np.empty(n_frames * multiple, dtype=np.int32)
-    state = None
-    for i in range(n_chunks):
-        start = n_frames * i // n_chunks * multiple
-        stop = n_frames * (i + 1) // n_chunks * multiple
-        cond = None if frames is None else frames[:, start // multiple : stop // multiple]
-        logits, _, state = model.forward(
-            padded[None, start : stop + cfg.lookahead], conditions=cond, state=state, cache=False
-        )
+    edges = [n_frames * i // n_chunks * multiple for i in range(n_chunks + 1)]
+    windows = [whole.window(a, b, cfg) for a, b in zip(edges, edges[1:])]
+    levels = np.empty(len(mask), dtype=np.int32)
+    stop = 0
+    for chunk, _, logits, _ in forward_chunks(model, windows, cache=False):
+        start, stop = stop, stop + chunk.n_steps
         levels[start:stop] = np.argmax(logits[0], axis=-1)
+        del logits
     return QuantizedWaveform(levels[:valid_len], x.sample_rate_hz)
 
 

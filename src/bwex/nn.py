@@ -354,10 +354,6 @@ class EmbeddingTable:
         if self.table.shape[0] != N_LEVELS:
             raise ValueError(f"embedding table must have {N_LEVELS} rows, got {self.table.shape[0]}")
 
-    @classmethod
-    def create(cls, embed_dim: int, rng: np.random.Generator, dtype=np.float32):
-        return cls(init_uniform((N_LEVELS, embed_dim), embed_dim, rng, dtype))
-
 
 def embed(table: EmbeddingTable, levels: np.ndarray) -> np.ndarray:
     """Row gather: levels [...] -> vectors [..., embed_dim]."""

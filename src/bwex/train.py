@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import _atomic_write, batch_iter, make_batch, tbptt_chunks
-from .models import GENERATE_CHUNK, FieldError, ModelConfig, build_model
+from .models import GENERATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks
 
 
 class NumericError(RuntimeError):
@@ -82,48 +82,15 @@ class TrainResult:
         return float(self.checkpoint.metadata["best_valid_ce"])
 
 
-def _chunk_forwards(model, batch, chunk_len: int, cache: bool = True):
-    """Yield (chunk, n_valid, logits, cache) per TBPTT chunk of `batch`, carrying the
-    LSTM state; each forward runs on demand, after any update to the one before.
-
-    A row whose mask has ended before a chunk leaves the walk there: the
-    chunk holds only the rows still valid at its first position, in batch
-    order, and each carried state shrinks to them. Masks are prefixes, so
-    a dropped row would add only exact zeros to the loss and gradients.
-    The consumer must drop its references to a chunk's logits and cache
-    before asking for the next one, so that two never coexist.
-    """
-    state = None
-    n_rows = batch.mask.shape[0]
-    live = np.arange(n_rows)  # the batch rows still in the walk
-    for chunk in tbptt_chunks(batch, chunk_len, model.cfg):
-        keep = chunk.mask[live, 0]
-        if not keep.all():
-            live = live[keep]
-            if live.size == 0:
-                break  # masks are prefixes: nothing valid remains
-            if state is not None:
-                state = {k: (h[keep], c[keep]) for k, (h, c) in state.items()}
-        if live.size < n_rows:
-            chunk = dataclasses.replace(
-                chunk,
-                inputs=chunk.inputs[live],
-                targets=chunk.targets[live],
-                mask=chunk.mask[live],
-                conditions=None if chunk.conditions is None else chunk.conditions[live],
-                utt_ids=tuple(chunk.utt_ids[i] for i in live),
-            )
-        logits, fwd_cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state, cache=cache)
-        yield chunk, int(chunk.mask.sum()), logits, fwd_cache
-        del logits, fwd_cache
-
-
+@np.errstate(all="ignore")
 def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log=None) -> TrainResult:
     """Fit a model on utterance pairs; returns the best-validation checkpoint.
 
     Per chunk: forward, masked CE, backward, global-norm clip, Adam. Stops
     when validation CE has not improved for `patience` epochs. All
-    randomness (init, shuffling) derives from cfg.seed.
+    randomness (init, shuffling) derives from cfg.seed. A non-finite
+    loss, gradient norm or validation CE raises NumericError, so numpy's
+    floating-point warnings are off inside.
     """
     train_pairs = list(train_pairs)
     valid_pairs = list(valid_pairs)
@@ -142,7 +109,8 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
             # Counted by hand: enumerate's result tuple would keep the last
             # chunk's logits alive through the next forward.
             chunk_idx = 0
-            for chunk, n_valid, logits, cache in _chunk_forwards(model, batch, cfg.chunk_len):
+            chunks = tbptt_chunks(batch, cfg.chunk_len, cfg.model)
+            for chunk, n_valid, logits, cache in forward_chunks(model, chunks):
                 flat = logits.reshape(-1, logits.shape[-1])
                 loss, dflat = nn.softmax_ce(flat, chunk.targets.reshape(-1), chunk.mask.reshape(-1))
                 if not math.isfinite(loss):
@@ -150,7 +118,10 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
                         f"non-finite loss at epoch {epoch}, batch {batch_idx}, chunk {chunk_idx}"
                     )
                 grads = model.backward(cache, dflat.reshape(logits.shape))
-                nn.clip_global_norm(grads, cfg.clip_norm)
+                if not math.isfinite(nn.clip_global_norm(grads, cfg.clip_norm)):
+                    raise NumericError(
+                        f"non-finite gradient at epoch {epoch}, batch {batch_idx}, chunk {chunk_idx}"
+                    )
                 nn.adam_update(adam, model.params, grads)
                 del logits, flat, cache, dflat, grads  # freed before the next forward
                 total += loss * n_valid
@@ -158,6 +129,8 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
                 chunk_idx += 1
         train_ce = total / count
         valid_ce, valid_acc = validate(model, valid_pairs, batch_size=cfg.batch_size)
+        if not math.isfinite(valid_ce):
+            raise NumericError(f"non-finite validation CE at epoch {epoch}")
         history.append(EpochStats(epoch, train_ce, valid_ce, valid_acc))
         if log is not None:
             log(
@@ -183,15 +156,16 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
 def validate(model, pairs, batch_size: int = 8):
     """Mean masked CE and argmax accuracy (%); mutates nothing.
 
-    Each batch runs as inference forwards over chunks of at most
-    GENERATE_CHUNK samples that carry the LSTM state, as in `generate`,
-    so memory does not grow with utterance length.
+    Each batch walks its chunks of at most GENERATE_CHUNK samples
+    uncached on `forward_chunks`, as `generate` does, so memory does not
+    grow with utterance length.
     """
     total_ce, total_hits, count = 0.0, 0, 0
     pairs = list(pairs)
     for start in range(0, len(pairs), batch_size):
         batch = make_batch(pairs[start : start + batch_size], model.cfg)
-        for chunk, n_valid, logits, _ in _chunk_forwards(model, batch, GENERATE_CHUNK, cache=False):
+        chunks = tbptt_chunks(batch, GENERATE_CHUNK, model.cfg)
+        for chunk, n_valid, logits, _ in forward_chunks(model, chunks, cache=False):
             flat = logits.reshape(-1, logits.shape[-1])
             targets = chunk.targets.reshape(-1)
             mask = chunk.mask.reshape(-1)

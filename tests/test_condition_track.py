@@ -9,10 +9,15 @@ change when odd-length recordings started to lose their last sample.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bwex
 from bwex import nn
 from bwex.cli import main
 from bwex.config import build_run_config, serialize_config
@@ -134,10 +139,10 @@ TRAIN_GOLDEN = {
 }
 
 
-def train_bytes(tmp_path, monkeypatch, source: str) -> bytes:
+def train_bytes(tmp_path, source: str) -> bytes:
     # Relative manifest paths keep the config text, which the checkpoint
-    # embeds, the same in every directory.
-    monkeypatch.chdir(tmp_path)
+    # embeds, the same in every directory. `--threads 1` pins the BLAS
+    # pools only before numpy loads, so `bwex train` runs in a child process.
     lines = []
     for i, n in enumerate((3200, 2400)):
         save_wav(tmp_path / f"u{i}.wav", noisy(n, 16000, seed=i))
@@ -152,15 +157,18 @@ def train_bytes(tmp_path, monkeypatch, source: str) -> bytes:
         "data.train_manifest = corpus.tsv\ndata.valid_manifest = corpus.tsv\n"
     )
     (tmp_path / "c.cfg").write_text(text)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")  # restored after the test; `--threads` sets them
-    assert main(["--threads", "1", "train", "--config", "c.cfg", "--out", "m.bweh"]) == 0
+    src = str(Path(bwex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, bwex.cli; sys.exit(bwex.cli.main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", script, "--threads", "1", "train", "--config", "c.cfg", "--out", "m.bweh"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     return (tmp_path / "m.bweh").read_bytes()
 
 
 @pytest.mark.parametrize("source", sorted(TRAIN_GOLDEN))
-def test_chrnn_train_checkpoint_is_pinned(tmp_path, monkeypatch, source):
-    assert sha256(train_bytes(tmp_path, monkeypatch, source)) == TRAIN_GOLDEN[source]
+def test_chrnn_train_checkpoint_is_pinned(tmp_path, source):
+    assert sha256(train_bytes(tmp_path, source)) == TRAIN_GOLDEN[source]
 
 
 GRADS_GOLDEN = "ff7afb75d7b659a4f3d0c0ee227a1c638e46f933cca7b88144f3a180b641d2d5"

@@ -22,7 +22,7 @@ from bwex.data import load_wav, save_wav
 from bwex.data import build_pair, make_batch
 from bwex.dsp import Waveform
 from bwex.metrics import reconstruct_wideband
-from bwex.models import Hrnn, HrnnConfig, SrnnConfig, build_model, generate
+from bwex.models import Hrnn, HrnnConfig, SrnnConfig, build_model, forward_chunks, generate
 from bwex.train import (
     Checkpoint,
     CheckpointError,
@@ -61,6 +61,46 @@ def params_digest(params):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(params[name]).tobytes())
     return digest.hexdigest()
+
+
+def poison_backward(monkeypatch):
+    """Make every Hrnn gradient of `tier1.ff2.b` infinite in one entry."""
+    real = Hrnn.backward
+
+    def poisoned(self, cache, dlogits):
+        grads = real(self, cache, dlogits)
+        grads["tier1.ff2.b"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(Hrnn, "backward", poisoned)
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports bwex and these tests,
+    with BLAS on one thread."""
+    tests = Path(__file__).resolve().parent
+    path = filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    return env
+
+
+def write_train_config(tmp_path, lengths=(400, 320), extra: str = "") -> Path:
+    """A corpus of sine utterances of the given lengths, used for training
+    and validation, and an h=8 HRNN config that trains at batch 1 on it."""
+    lines = []
+    for i, n in enumerate(lengths):
+        t = np.arange(n) / 16000.0
+        save_wav(tmp_path / f"u{i}.wav", Waveform(0.4 * np.sin(2 * np.pi * (300 + 40 * i) * t), 16000))
+        lines.append(f"u{i}\t{tmp_path / f'u{i}.wav'}\n")
+    manifest = tmp_path / "corpus.tsv"
+    manifest.write_text("".join(lines))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "model.kind = hrnn\nmodel.hidden = 8\nmodel.embed_dim = 4\ntrain.batch_size = 1\n"
+        f"data.train_manifest = {manifest}\ndata.valid_manifest = {manifest}\n{extra}"
+    )
+    return cfg
 
 
 class TestTrainConfig:
@@ -126,6 +166,15 @@ class TestTrain:
         monkeypatch.setattr(bwex.nn, "softmax_ce", poisoned)
         with pytest.raises(NumericError, match="epoch 1"):
             train(toy_cfg(max_epochs=1), pairs, pairs)
+
+    def test_non_finite_gradient_aborts_before_adam(self, monkeypatch):
+        poison_backward(monkeypatch)
+        updates = []
+        monkeypatch.setattr(nn, "adam_update", lambda *args: updates.append(args))
+        pairs = toy_pairs()
+        with pytest.raises(NumericError, match="non-finite gradient at epoch 1, batch 0, chunk 0"):
+            train(toy_cfg(max_epochs=1), pairs, pairs)
+        assert updates == []
 
     def test_fixed_batch_loss_strictly_decreases_seed_averaged(self):
         # 10 Adam steps on one frozen batch, averaged over 5 seeds.
@@ -231,11 +280,14 @@ class TestDroppedRows:
         pairs = pairs_of_lengths(self.LENGTHS, conditional=model_cfg.conditional)
         return model, pairs, make_batch(pairs, model_cfg)
 
+    def walk(self, model, batch, cache=False):
+        return forward_chunks(model, data.tbptt_chunks(batch, self.CHUNK, model.cfg), cache=cache)
+
     @pytest.mark.parametrize("kind", ["hrnn", "chrnn"])
     def test_walk_holds_the_rows_valid_at_each_chunk_start(self, kind):
         model, _, batch = self.setup(kind)
         full = data.tbptt_chunks(batch, self.CHUNK, model.cfg)
-        walked = [chunk for chunk, *_ in bwex.train._chunk_forwards(model, batch, self.CHUNK, cache=False)]
+        walked = [chunk for chunk, *_ in self.walk(model, batch)]
         row_sets = [tuple(np.flatnonzero(chunk.mask[:, 0])) for chunk in full]
         assert row_sets[0] == (0, 1, 2) and (0, 1) in row_sets and row_sets[-1] == (1,)
         assert len(walked) == len(full)
@@ -253,12 +305,12 @@ class TestDroppedRows:
         # A carried state mapped to the wrong row would show here.
         model, pairs, batch = self.setup(kind)
         batched = {utt: [] for utt in batch.utt_ids}
-        for chunk, _, logits, _ in bwex.train._chunk_forwards(model, batch, self.CHUNK, cache=False):
+        for chunk, _, logits, _ in self.walk(model, batch):
             for row, utt in enumerate(chunk.utt_ids):
                 batched[utt].append(logits[row][chunk.mask[row]])
         for pair in pairs:
             alone = make_batch([pair], model.cfg)
-            walk = bwex.train._chunk_forwards(model, alone, self.CHUNK, cache=False)
+            walk = self.walk(model, alone)
             expected = [logits[0][chunk.mask[0]] for chunk, _, logits, _ in walk]
             assert len(batched[pair.utt_id]) == len(expected)
             for got, want in zip(batched[pair.utt_id], expected):
@@ -275,7 +327,7 @@ class TestDroppedRows:
             loss, dflat = nn.softmax_ce(logits.reshape(-1, 256), chunk.targets.reshape(-1), chunk.mask.reshape(-1))
             reference.append((loss, model.backward(cache, dflat.reshape(logits.shape))))
         walked = []
-        for chunk, _, logits, cache in bwex.train._chunk_forwards(model, batch, self.CHUNK):
+        for chunk, _, logits, cache in self.walk(model, batch, cache=True):
             loss, dflat = nn.softmax_ce(logits.reshape(-1, 256), chunk.targets.reshape(-1), chunk.mask.reshape(-1))
             walked.append((loss, model.backward(cache, dflat.reshape(logits.shape))))
         assert len(walked) == len(reference)
@@ -285,20 +337,33 @@ class TestDroppedRows:
             for name in ref_grads:
                 np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, err_msg=name)
 
-    def test_equal_lengths_walk_the_unchanged_chunks(self, monkeypatch):
-        real_chunks = data.tbptt_chunks
-        made = []
-
-        def recorded(batch, chunk_len, model_cfg):
-            made.extend(real_chunks(batch, chunk_len, model_cfg))
-            return made
-
-        monkeypatch.setattr(bwex.train, "tbptt_chunks", recorded)
+    def test_equal_lengths_walk_the_unchanged_chunks(self):
         model_cfg = self.CONFIGS["hrnn"]
         batch = make_batch(pairs_of_lengths((1400, 1400)), model_cfg)
-        walked = [chunk for chunk, *_ in bwex.train._chunk_forwards(build_model(model_cfg, rng=0), batch, self.CHUNK)]
+        made = data.tbptt_chunks(batch, self.CHUNK, model_cfg)
+        walked = [chunk for chunk, *_ in forward_chunks(build_model(model_cfg, rng=0), made)]
         assert len(made) == 5 and len(walked) == len(made)
         assert all(chunk is whole for chunk, whole in zip(walked, made))
+
+    def test_a_batch_without_targets_drops_the_row_that_ends(self):
+        # Rows of 2200 and 600 samples in chunks of 320: the second row is
+        # valid at the starts of chunks 0 and 1, and leaves at chunk 2.
+        model_cfg = self.CONFIGS["chrnn"]
+        model = build_model(model_cfg, rng=np.random.default_rng(2), dtype=np.float64)
+        pairs = pairs_of_lengths((2200, 600), conditional=True)
+        batch = dataclasses.replace(make_batch(pairs, model_cfg), targets=None)
+        full = data.tbptt_chunks(batch, self.CHUNK, model_cfg)
+        walked = [(chunk, logits) for chunk, _, logits, _ in forward_chunks(model, full, cache=False)]
+        assert len(full) == 7 and len(walked) == len(full)
+        for i, ((chunk, logits), whole) in enumerate(zip(walked, full)):
+            assert chunk.targets is None
+            if i < 2:
+                assert chunk is whole and logits.shape[0] == 2
+                continue
+            assert chunk.utt_ids == ("u0",) and logits.shape[0] == 1
+            np.testing.assert_array_equal(chunk.inputs, whole.inputs[:1])
+            np.testing.assert_array_equal(chunk.mask, whole.mask[:1])
+            np.testing.assert_array_equal(chunk.conditions, whole.conditions[:1])
 
 
 # train() on one batch of three unequal rows: with chunks of 480 the
@@ -317,14 +382,35 @@ def dropped_rows_digest() -> str:
 
 
 def test_train_on_a_batch_that_drops_rows_is_pinned():
-    tests = Path(__file__).resolve().parent
-    path = filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     argv = [sys.executable, "-c", "import test_train; print(test_train.dropped_rows_digest())"]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == DROPPED_ROWS_GOLDEN
+
+
+def test_cli_non_finite_gradient_is_a_one_line_numeric_abort(tmp_path, monkeypatch, capsys):
+    poison_backward(monkeypatch)
+    cfg = write_train_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bweh")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort: non-finite gradient at epoch 1") and err.count("\n") == 1, err
+    assert not (tmp_path / "m.bweh").exists()
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_cli_non_finite_validation_ce_is_a_one_line_numeric_abort(tmp_path, epochs):
+    # At lr = 1e30 the first Adam step makes the forward overflow. One
+    # utterance shorter than a TBPTT chunk gives one update per epoch, so
+    # the validation CE is the first non-finite value. numpy's warnings
+    # reach stderr only outside pytest, so the run is a child process.
+    extra = f"train.lr = 1e30\ntrain.max_epochs = {epochs}\ntrain.patience = {epochs}\n"
+    cfg = write_train_config(tmp_path, lengths=(400,), extra=extra)
+    script = "import sys, bwex.cli; sys.exit(bwex.cli.main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", script, "train", "--config", str(cfg), "--out", str(tmp_path / "m.bweh")]
+    proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "numeric abort: non-finite validation CE at epoch 1\n"
+    assert not (tmp_path / "m.bweh").exists()
 
 
 class TestValidate:
