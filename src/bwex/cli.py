@@ -2,9 +2,8 @@
 
 Subcommands: train, extend, eval, features, latency. Exit codes are part
 of the contract: 0 success, 1 configuration error, 2 data error, 3
-numeric abort. `--threads N` (or the BWE_THREADS environment variable)
-pins the BLAS thread pools before numpy loads; use `--threads 1` for
-bit-reproducible runs.
+numeric abort. `--threads N` pins the BLAS thread pools before numpy
+loads; use `--threads 1` for bit-reproducible runs.
 
 Heavy imports stay inside the command functions so the thread
 configuration set in `main` can take effect first.
@@ -24,15 +23,13 @@ EXIT_NUMERIC = 3
 
 
 def _set_threads(raw: str | None):
-    """Pin the BLAS thread pools to `--threads`, else to BWE_THREADS.
+    """Pin the BLAS thread pools to `--threads`, when it is given.
 
     A value that is not a positive integer raises ValueError before any
     variable is set.
     """
     if raw is None:
-        raw = os.environ.get("BWE_THREADS")
-        if raw is None:
-            return
+        return
     try:
         n = int(raw)
     except ValueError:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dsp
 from .dsp import ConditionTrack, QuantizedWaveform, Waveform
-from .models import ModelConfig, PaddedBatch, align_condition_frames, PAD_LEVEL
+from .models import ModelConfig, PaddedBatch
 
 
 class DataError(ValueError):
@@ -199,7 +199,6 @@ def build_pair(
     wideband: Waveform,
     strategy: str = "hf",
     hf_gain: float = 4.0,
-    conditions: ConditionTrack | None = None,
     utt_id: str = "",
 ) -> UtterancePair:
     """Derive one training pair from a wideband recording.
@@ -227,7 +226,6 @@ def build_pair(
         input_levels=input_levels,
         target_levels=dsp.mulaw_encode(target),
         narrowband=narrowband,
-        conditions=conditions,
     )
 
 
@@ -292,31 +290,20 @@ def check_conditions(track: ConditionTrack, model_cfg: ModelConfig, name: str):
 def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
     if not pairs:
         raise DataError("cannot build an empty batch")
-    multiple = model_cfg.time_multiple
-    lookahead = model_cfg.lookahead
-    n_steps = -(-max(len(p.input_levels) for p in pairs) // multiple) * multiple
-    batch = len(pairs)
-    inputs = np.full((batch, n_steps + lookahead), PAD_LEVEL, dtype=np.int32)
-    targets = np.full((batch, n_steps), PAD_LEVEL, dtype=np.int32)
-    mask = np.zeros((batch, n_steps), dtype=bool)
-    conditional = model_cfg.conditional
     conditions = None
-    if conditional:
-        n_frames = n_steps // multiple
-        conditions = np.zeros((batch, n_frames, model_cfg.cond_dim), dtype=np.float32)
-    for i, pair in enumerate(pairs):
-        n = len(pair.input_levels)
-        inputs[i, :n] = pair.input_levels.levels
-        targets[i, :n] = pair.target_levels.levels
-        mask[i, :n] = True
-        if conditional:
+    if model_cfg.conditional:
+        for pair in pairs:
             if pair.conditions is None:
                 raise DataError(f"{pair.utt_id}: conditional model but pair has no conditions")
             check_conditions(pair.conditions, model_cfg, pair.utt_id)
-            wanted = -(-n // multiple)  # frames covering this utterance
-            frames = align_condition_frames(pair.conditions.frames, wanted)
-            conditions[i, :wanted] = frames
-    return PaddedBatch(inputs, targets, mask, conditions, tuple(p.utt_id for p in pairs))
+        conditions = [pair.conditions for pair in pairs]
+    return PaddedBatch.pad(
+        [pair.input_levels.levels for pair in pairs],
+        model_cfg,
+        targets=[pair.target_levels.levels for pair in pairs],
+        conditions=conditions,
+        utt_ids=[pair.utt_id for pair in pairs],
+    )
 
 
 def batch_iter(pairs, batch_size: int, seed: int, model_cfg: ModelConfig):

@@ -212,27 +212,6 @@ ModelConfig = HrnnConfig | SrnnConfig
 # Framing and fan-out primitives
 # ---------------------------------------------------------------------------
 
-def pad_for_model(x, cfg: ModelConfig):
-    """Pad a level sequence for one forward pass.
-
-    Appends zero-amplitude levels (128) so the output region is divisible
-    by the top tier's frame size, then the lookahead tail on top of that.
-    Returns (padded_levels, valid_len, mask) where mask flags the original
-    positions within the output region.
-    """
-    levels = x.levels if isinstance(x, QuantizedWaveform) else np.asarray(x)
-    valid_len = len(levels)
-    if valid_len == 0:
-        raise ValueError("cannot pad an empty sequence")
-    multiple = cfg.time_multiple
-    n_steps = -(-valid_len // multiple) * multiple
-    padded = np.full(n_steps + cfg.lookahead, PAD_LEVEL, dtype=np.int32)
-    padded[:valid_len] = levels
-    mask = np.zeros(n_steps, dtype=bool)
-    mask[:valid_len] = True
-    return padded, valid_len, mask
-
-
 @dataclasses.dataclass
 class PaddedBatch:
     """One mini-batch, or a chunk of one, padded to a shared, model-aligned length.
@@ -256,6 +235,39 @@ class PaddedBatch:
     @property
     def valid_lens(self) -> np.ndarray:  # [B] int
         return self.mask.sum(axis=1)
+
+    @classmethod
+    def pad(cls, inputs, cfg: ModelConfig, targets=None, conditions=None, utt_ids=None) -> "PaddedBatch":
+        """The batch of level rows `inputs`, each padded with PAD_LEVEL (zero
+        amplitude) to whole top-tier frames of cfg, plus cfg's lookahead.
+
+        targets, when given, are level rows of the same lengths. conditions,
+        when given, are one ConditionTrack per row, aligned to the frames
+        that cover its row (`align_condition_frames`) and zero past them.
+        The mask is true on each row's own positions. An empty row, or no
+        row, raises ValueError.
+        """
+        lens = [len(row) for row in inputs]
+        if not lens or min(lens) == 0:
+            raise ValueError("cannot pad an empty sequence")
+        multiple = cfg.time_multiple
+        n_steps = -(-max(lens) // multiple) * multiple
+        batch = len(lens)
+        padded = np.full((batch, n_steps + cfg.lookahead), PAD_LEVEL, dtype=np.int32)
+        padded_targets = None if targets is None else np.full((batch, n_steps), PAD_LEVEL, dtype=np.int32)
+        mask = np.zeros((batch, n_steps), dtype=bool)
+        frames = None
+        if conditions is not None:
+            frames = np.zeros((batch, n_steps // multiple, conditions[0].dim), dtype=np.float32)
+        for i, n in enumerate(lens):
+            padded[i, :n] = inputs[i]
+            mask[i, :n] = True
+            if targets is not None:
+                padded_targets[i, :n] = targets[i]
+            if conditions is not None:
+                wanted = -(-n // multiple)  # frames covering this row
+                frames[i, :wanted] = align_condition_frames(conditions[i].frames, wanted)
+        return cls(padded, padded_targets, mask, frames, tuple(utt_ids) if utt_ids is not None else ("",) * batch)
 
     def window(self, start: int, stop: int, cfg: ModelConfig) -> "PaddedBatch":
         """The view of output steps start..stop, whole top-tier frames of
@@ -682,23 +694,19 @@ def generate(model, x: QuantizedWaveform, conditions: ConditionTrack | None = No
     is truncated back to the input's length. Purely deterministic.
     """
     cfg = model.cfg
-    padded, valid_len, mask = pad_for_model(x, cfg)
+    whole = PaddedBatch.pad([x.levels], cfg, conditions=None if conditions is None else [conditions])
     multiple = cfg.time_multiple
-    n_frames = len(mask) // multiple
-    frames = None
-    if conditions is not None:
-        frames = align_condition_frames(conditions.frames, n_frames)[None]
-    whole = PaddedBatch(padded[None], None, mask[None], frames, ("",))
+    n_frames = whole.n_steps // multiple
     n_chunks = -(-n_frames // max(1, GENERATE_CHUNK // multiple))
     edges = [n_frames * i // n_chunks * multiple for i in range(n_chunks + 1)]
     windows = [whole.window(a, b, cfg) for a, b in zip(edges, edges[1:])]
-    levels = np.empty(len(mask), dtype=np.int32)
+    levels = np.empty(whole.n_steps, dtype=np.int32)
     stop = 0
     for chunk, _, logits, _ in forward_chunks(model, windows, cache=False):
         start, stop = stop, stop + chunk.n_steps
         levels[start:stop] = np.argmax(logits[0], axis=-1)
         del logits
-    return QuantizedWaveform(levels[:valid_len], x.sample_rate_hz)
+    return QuantizedWaveform(levels[: len(x)], x.sample_rate_hz)
 
 
 def align_condition_frames(frames: np.ndarray, n_needed: int) -> np.ndarray:

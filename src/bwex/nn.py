@@ -478,12 +478,14 @@ def adam_update(state: AdamState, params: dict, grads: dict):
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm."""
+    """Scale all gradients in place so their joint L2 norm is <= max_norm,
+    and return the norm before scaling. A norm that is not finite leaves
+    every gradient as it is: there is no scale that would bound it."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.square(g, dtype=np.float64)))
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
+    if norm > max_norm and 0.0 < norm < np.inf:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale

@@ -20,7 +20,7 @@ from bwex.config import serialize_config
 from bwex.data import build_pair, load_wav, make_batch, save_wav, tbptt_chunks
 from bwex.dsp import QuantizedWaveform, Waveform
 from bwex.metrics import lsd, reconstruct_wideband, snr
-from bwex.models import Hrnn, HrnnConfig, Srnn, SrnnConfig, build_model, generate, max_latency_ms, pad_for_model
+from bwex.models import Hrnn, HrnnConfig, PaddedBatch, Srnn, SrnnConfig, build_model, generate, max_latency_ms
 from bwex.train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
 
 
@@ -109,7 +109,8 @@ def test_criterion_2_gradient_fidelity():
         for seed in range(20):
             rng = np.random.default_rng(2100 + seed)
             model = Hrnn(cfg, rng=rng, dtype=np.float64)
-            padded, _, mask = pad_for_model(rng.integers(0, 256, 64), cfg)
+            batch = PaddedBatch.pad([rng.integers(0, 256, 64)], cfg)
+            padded, mask = batch.inputs[0], batch.mask[0]
             targets = rng.integers(0, 256, len(mask))
 
             def loss_and_grads(_params):
@@ -131,7 +132,8 @@ def test_criterion_3_receptive_field_contract():
         model = Hrnn(cfg, rng=31)
         rng = np.random.default_rng(32)
         levels = rng.integers(0, 256, 320)
-        padded, _, mask = pad_for_model(levels, cfg)
+        batch = PaddedBatch.pad([levels], cfg)
+        padded, mask = batch.inputs[0], batch.mask[0]
         base, _, _ = model.forward(padded[None].copy())
         hits = 0
         for _ in range(24):

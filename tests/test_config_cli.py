@@ -611,12 +611,12 @@ def test_threads_pinned_before_numpy_loads(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize("how", ["flag"])
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_thread_count_is_a_config_error(tmp_path, how, value):
     cfg = tmp_path / "m.cfg"
     cfg.write_text("model.kind = hrnn\n")
-    argv = ["--threads", value] if how == "flag" else []
+    argv = ["--threads", value]
     script = (
         "import contextlib, io, os, sys\n"
         "import bwex.cli\n"
@@ -628,9 +628,7 @@ def test_bad_thread_count_is_a_config_error(tmp_path, how, value):
         "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
         "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n"
     )
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "BWE_THREADS"}
-    if how == "env":
-        env["BWE_THREADS"] = value
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -687,12 +685,3 @@ def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):
     cfg.write_text(text + "\n")
     assert main(["latency", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
-
-
-def test_package_root_resolves_names_and_train_is_the_submodule():
-    import bwex.train
-
-    assert bwex.train is sys.modules["bwex.train"]
-    assert bwex.Hrnn is sys.modules["bwex.models"].Hrnn
-    with pytest.raises(AttributeError):
-        bwex.no_such_name

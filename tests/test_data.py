@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bwex import nn
-from bwex.dsp import ConditionTrack, Waveform, decode_levels
+from bwex.dsp import ConditionTrack, QuantizedWaveform, Waveform, decode_levels
 from bwex.models import Hrnn, HrnnConfig, SrnnConfig
 from bwex.data import (
     DataError,
@@ -209,9 +209,9 @@ class TestBuildPair:
 
 
 class TestBatching:
-    def make_pairs(self, lengths, **kw):
+    def make_pairs(self, lengths, conditions=None):
         return [
-            build_pair(synth_wideband(n, seed=i), utt_id=f"u{i}", **kw)
+            dataclasses.replace(build_pair(synth_wideband(n, seed=i), utt_id=f"u{i}"), conditions=conditions)
             for i, n in enumerate(lengths)
         ]
 
@@ -246,6 +246,14 @@ class TestBatching:
             make_batch([], tiny_cfg())
         with pytest.raises(DataError):
             list(batch_iter([], 4, seed=0, model_cfg=tiny_cfg()))
+
+    def test_a_pair_without_samples_is_rejected(self):
+        # build_pair never makes one; padding raises rather than adding an all-masked row.
+        empty = QuantizedWaveform(np.zeros(0, dtype=np.int32), 16000)
+        pairs = self.make_pairs([300, 400])
+        pairs[1] = dataclasses.replace(pairs[1], input_levels=empty, target_levels=empty)
+        with pytest.raises(ValueError, match="empty"):
+            make_batch(pairs, tiny_cfg())
 
     def test_conditional_batch_carries_frames(self):
         cfg = tiny_cfg(cond_frame_shift=160, cond_dim=39)

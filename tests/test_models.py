@@ -13,6 +13,7 @@ from bwex.models import (
     FieldError,
     Hrnn,
     HrnnConfig,
+    PaddedBatch,
     Srnn,
     SrnnConfig,
     TierSpec,
@@ -22,7 +23,6 @@ from bwex.models import (
     conditioning_fanout,
     generate,
     max_latency_ms,
-    pad_for_model,
 )
 
 
@@ -91,27 +91,58 @@ class TestConfig:
             SrnnConfig(strategy="x")
 
 
-class TestPadForModel:
+class TestPaddedBatchPad:
     def test_spec_example(self):
-        padded, valid_len, mask = pad_for_model(np.arange(100) % 256, tiny_cfg())
-        assert len(padded) == 128  # 112 output region + 16 lookahead
-        assert valid_len == 100
-        assert len(mask) == 112
-        assert mask[:100].all() and not mask[100:].any()
-        assert np.all(padded[100:] == 128)
+        batch = PaddedBatch.pad([np.arange(100) % 256], tiny_cfg())
+        assert batch.inputs.shape == (1, 128)  # 112 output region + 16 lookahead
+        assert batch.n_steps == 112 and batch.valid_lens.tolist() == [100]
+        assert batch.mask[0, :100].all() and not batch.mask[0, 100:].any()
+        assert np.all(batch.inputs[0, 100:] == 128)
+        assert batch.targets is None and batch.conditions is None and batch.utt_ids == ("",)
 
     def test_no_padding_when_aligned(self):
         cfg = tiny_cfg(n_concat=(1, 1, 1))
-        padded, valid_len, mask = pad_for_model(np.zeros(64, dtype=int), cfg)
-        assert len(padded) == 64 and valid_len == 64 and mask.all()
+        batch = PaddedBatch.pad([np.zeros(64, dtype=int)], cfg)
+        assert batch.inputs.shape == (1, 64) and batch.mask.all()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pad_for_model(np.zeros(0, dtype=int), tiny_cfg())
+            PaddedBatch.pad([np.zeros(0, dtype=int)], tiny_cfg())
+        with pytest.raises(ValueError):
+            PaddedBatch.pad([np.arange(40), np.zeros(0, dtype=int)], tiny_cfg())
+        with pytest.raises(ValueError):
+            PaddedBatch.pad([], tiny_cfg())
 
     def test_srnn_needs_nothing(self):
-        padded, valid_len, mask = pad_for_model(np.zeros(37, dtype=int), SrnnConfig())
-        assert len(padded) == 37 and mask.all()
+        batch = PaddedBatch.pad([np.zeros(37, dtype=int)], SrnnConfig())
+        assert batch.inputs.shape == (1, 37) and batch.mask.all()
+
+    def test_two_rows_without_targets_align_short_tracks(self):
+        # Frames of 8 samples and a lookahead of 4. Row "a" (40 samples) is
+        # covered by 5 frames and its track has 3; row "b" (17 samples) by 3
+        # frames, and its track has 2.
+        cfg = tiny_cfg(frame_sizes=(4, 2), n_concat=(2, 2, 2), cond_frame_shift=8, cond_dim=2)
+        tracks = [ConditionTrack(np.arange(6.0).reshape(3, 2) + 1, 8), ConditionTrack(-np.ones((2, 2)) * [1, 2], 8)]
+        rows = [np.arange(40) % 256, np.arange(17) + 100]
+        batch = PaddedBatch.pad(rows, cfg, conditions=tracks, utt_ids=["a", "b"])
+        assert batch.targets is None and batch.utt_ids == ("a", "b")
+        assert batch.inputs.shape == (2, 44) and batch.n_steps == 40
+        np.testing.assert_array_equal(batch.valid_lens, [40, 17])
+        for row, levels, n in zip(batch.inputs, rows, (40, 17)):
+            np.testing.assert_array_equal(row[:n], levels)
+            assert np.all(row[n:] == 128)
+        assert batch.mask[1, :17].all() and not batch.mask[1, 17:].any()
+        assert batch.conditions.shape == (2, 5, 2) and batch.conditions.dtype == np.float32
+        np.testing.assert_array_equal(batch.conditions[0], tracks[0].frames[[0, 1, 2, 2, 2]])
+        np.testing.assert_array_equal(batch.conditions[1, :3], tracks[1].frames[[0, 1, 1]])
+        assert not batch.conditions[1, 3:].any()
+
+    def test_targets_are_padded_with_the_inputs(self):
+        targets = [np.arange(30) + 1, np.arange(20) + 2]
+        batch = PaddedBatch.pad([np.arange(30), np.arange(20)], tiny_cfg(), targets=targets)
+        assert batch.targets.shape == (2, 32)
+        np.testing.assert_array_equal(batch.targets[1, :20], np.arange(20) + 2)
+        assert np.all(batch.targets[0, 30:] == 128) and np.all(batch.targets[1, 20:] == 128)
 
 
 def frame_tier_inputs(values, tier: TierSpec, n_steps: int | None = None) -> np.ndarray:
@@ -223,15 +254,14 @@ class TestHrnnForward:
     def test_output_length_matches_padded_region(self, frame_sizes):
         cfg = tiny_cfg(frame_sizes=frame_sizes)
         model = Hrnn(cfg, rng=0)
-        padded, _, mask = pad_for_model(np.arange(200) % 256, cfg)
-        logits, _, _ = model.forward(padded[None])
-        assert logits.shape == (1, len(mask), 256)
+        batch = PaddedBatch.pad([np.arange(200) % 256], cfg)
+        logits, _, _ = model.forward(batch.inputs)
+        assert logits.shape == (1, batch.n_steps, 256)
 
     def test_zero_params_uniform_distribution(self):
         model = Hrnn(tiny_cfg(), rng=0)
         zero_params(model)
-        padded, _, _ = pad_for_model(np.arange(100) % 256, model.cfg)
-        logits, _, _ = model.forward(padded[None])
+        logits, _, _ = model.forward(PaddedBatch.pad([np.arange(100) % 256], model.cfg).inputs)
         assert np.all(logits == 0.0)
 
     def test_resolution_algebra_via_cache(self):
@@ -239,9 +269,9 @@ class TestHrnnForward:
         # counted through the emitted conditioning-vector sequence lengths.
         cfg = tiny_cfg()
         model = Hrnn(cfg, rng=1)
-        padded, _, mask = pad_for_model(np.arange(160) % 256, cfg)
-        _, cache, _ = model.forward(padded[None])
-        n_steps = len(mask)
+        batch = PaddedBatch.pad([np.arange(160) % 256], cfg)
+        _, cache, _ = model.forward(batch.inputs)
+        n_steps = batch.n_steps
         assert cache["tiers"][2]["lstm"].h.shape[1] == n_steps // 16
         assert cache["tiers"][1]["lstm"].h.shape[1] == n_steps // 4
         assert cache["tiers"][1]["lstm"].x.shape[1] == n_steps // 4
@@ -253,7 +283,7 @@ class TestHrnnForward:
         model = Hrnn(cfg, rng=3)
         rng = np.random.default_rng(4)
         levels = rng.integers(0, 256, 160)
-        padded, _, mask = pad_for_model(levels, cfg)
+        padded = PaddedBatch.pad([levels], cfg).inputs[0]
         base, _, _ = model.forward(padded[None].copy())
         for p in [40, 64, 97, 130]:
             perturbed = padded.copy()
@@ -266,21 +296,21 @@ class TestHrnnForward:
     def test_state_carry_changes_outputs(self):
         cfg = tiny_cfg()
         model = Hrnn(cfg, rng=5)
-        padded, _, _ = pad_for_model(np.arange(64) % 256, cfg)
-        _, _, state = model.forward(padded[None])
-        fresh, _, _ = model.forward(padded[None])
-        carried, _, _ = model.forward(padded[None], state=state)
+        padded = PaddedBatch.pad([np.arange(64) % 256], cfg).inputs
+        _, _, state = model.forward(padded)
+        fresh, _, _ = model.forward(padded)
+        carried, _, _ = model.forward(padded, state=state)
         assert not np.allclose(fresh, carried)
 
     def test_conditions_required_and_checked(self):
         cfg = tiny_cfg(frame_sizes=(4, 2), n_concat=(1, 1, 1), cond_frame_shift=8, cond_dim=5)
         model = Hrnn(cfg, rng=6)
-        padded, _, mask = pad_for_model(np.arange(32) % 256, cfg)
+        padded = PaddedBatch.pad([np.arange(32) % 256], cfg).inputs
         with pytest.raises(ValueError, match="condition"):
-            model.forward(padded[None])
+            model.forward(padded)
         with pytest.raises(ValueError, match="short"):
-            model.forward(padded[None], conditions=np.zeros((1, 2, 5), np.float32))
-        logits, _, _ = model.forward(padded[None], conditions=np.ones((1, 4, 5), np.float32))
+            model.forward(padded, conditions=np.zeros((1, 2, 5), np.float32))
+        logits, _, _ = model.forward(padded, conditions=np.ones((1, 4, 5), np.float32))
         assert logits.shape == (1, 32, 256)
 
     def test_bad_length_rejected(self):
@@ -368,7 +398,8 @@ class TestGradients:
         cfg = tiny_cfg(hidden=8, embed_dim=4)
         model = Hrnn(cfg, rng=7, dtype=np.float64)
         rng = np.random.default_rng(8)
-        padded, _, mask = pad_for_model(rng.integers(0, 256, 32), cfg)
+        batch = PaddedBatch.pad([rng.integers(0, 256, 32)], cfg)
+        padded, mask = batch.inputs[0], batch.mask[0]
         targets = rng.integers(0, 256, len(mask))
 
         def loss_and_grads(_params):
@@ -386,7 +417,8 @@ class TestGradients:
         )
         model = Hrnn(cfg, rng=9, dtype=np.float64)
         rng = np.random.default_rng(10)
-        padded, _, mask = pad_for_model(rng.integers(0, 256, 24), cfg)
+        batch = PaddedBatch.pad([rng.integers(0, 256, 24)], cfg)
+        padded, mask = batch.inputs[0], batch.mask[0]
         conditions = rng.standard_normal((1, len(mask) // 8, 4))
         targets = rng.integers(0, 256, len(mask))
 
@@ -433,7 +465,8 @@ class TestGradients:
         model = Hrnn(cfg, rng=14)
         rng = np.random.default_rng(15)
         levels = rng.integers(0, 256, 40)
-        padded, valid_len, mask = pad_for_model(levels, cfg)
+        batch = PaddedBatch.pad([levels], cfg)
+        padded, valid_len, mask = batch.inputs[0], len(levels), batch.mask[0]
         targets = rng.integers(0, 256, len(mask))
         loss_a, grads_a = masked_ce_loss_and_grads(model, padded[None], targets[None], mask[None])
         # Perturb target values on masked positions only.
@@ -467,6 +500,12 @@ class TestGenerate:
         b = generate(model, q)
         np.testing.assert_array_equal(a.levels, b.levels)
 
+    def test_a_model_without_a_conditional_tier_ignores_a_track(self):
+        model = Hrnn(tiny_cfg(), rng=18)
+        q = QuantizedWaveform(np.arange(321) % 256, 16000)
+        track = ConditionTrack(np.ones((3, 5)), 32)
+        np.testing.assert_array_equal(generate(model, q, track).levels, generate(model, q).levels)
+
     def test_align_condition_frames(self):
         frames = np.arange(6.0).reshape(3, 2)
         out = align_condition_frames(frames, 5)
@@ -480,12 +519,8 @@ class TestGenerate:
 def _one_pass_inputs(model, q, conditions=None):
     """(levels [1, padded], conditions [1, frames, d] or None, valid_len)
     for one forward over the whole padded utterance."""
-    padded, valid_len, _ = pad_for_model(q, model.cfg)
-    cond = None
-    if conditions is not None:
-        n_frames = (len(padded) - model.cfg.lookahead) // model.cfg.time_multiple
-        cond = align_condition_frames(conditions.frames, n_frames)[None]
-    return padded[None], cond, valid_len
+    batch = PaddedBatch.pad([q.levels], model.cfg, conditions=None if conditions is None else [conditions])
+    return batch.inputs, batch.conditions, len(q)
 
 
 def _one_pass_levels(model, q, conditions=None):
@@ -601,9 +636,9 @@ class TestBuildAndLoad:
         snapshot = {k: v.copy() for k, v in model.params.items()}
         other = Hrnn(tiny_cfg(), rng=20)
         other.load_params(snapshot)
-        padded, _, _ = pad_for_model(np.arange(64) % 256, model.cfg)
-        a, _, _ = model.forward(padded[None])
-        b, _, _ = other.forward(padded[None])
+        padded = PaddedBatch.pad([np.arange(64) % 256], model.cfg).inputs
+        a, _, _ = model.forward(padded)
+        b, _, _ = other.forward(padded)
         np.testing.assert_array_equal(a, b)
 
     def test_load_params_copies_into_existing_arrays(self):

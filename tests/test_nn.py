@@ -828,6 +828,16 @@ class TestAdam:
         clip_global_norm(grads2, 1.0)
         np.testing.assert_array_equal(grads2["a"], [0.1])
 
+    def test_clip_global_norm_leaves_a_non_finite_norm_alone(self):
+        grads = {"a": np.array([1.0, 2.0], np.float32), "b": np.array([np.inf, 3.0], np.float32)}
+        before = {name: g.copy() for name, g in grads.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = clip_global_norm(grads, 5.0)
+        assert norm == np.inf
+        for name, g in grads.items():
+            assert g.tobytes() == before[name].tobytes()
+
 
 class TestGradCheck:
     def test_detects_corrupted_backward(self):
