@@ -53,6 +53,8 @@ def load_wav(path) -> Waveform:
         raise DataError(f"{path}: expected mono audio, found {n_channels} channels")
     if sample_width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, found {8 * sample_width}-bit")
+    if rate <= 0:
+        raise DataError(f"{path}: header gives a sample rate of {rate} Hz")
     if len(payload) % 2:
         raise DataError(f"{path}: truncated sample data ({len(payload)} bytes)")
     pcm = np.frombuffer(payload, dtype="<i2")

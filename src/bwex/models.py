@@ -76,6 +76,11 @@ class _SharedConfig:
     hf_gain: float = 4.0
 
     def __post_init__(self):
+        # No float field may be NaN or infinite: an inf hf_gain, for one, makes
+        # inf * 0 = NaN in the high-band target of a silent stretch.
+        for name, value in vars(self).items():  # a subclass's fields too
+            if isinstance(value, float) and not np.isfinite(value):
+                raise FieldError(name, f"must be finite, got {value}")
         if self.strategy not in ("wb", "hf"):
             raise FieldError("strategy", f"must be 'wb' or 'hf', got {self.strategy!r}")
         for name in ("hidden", "embed_dim", "hf_gain"):
@@ -231,10 +236,6 @@ class PaddedBatch:
     @property
     def n_steps(self) -> int:
         return self.mask.shape[1]
-
-    @property
-    def valid_lens(self) -> np.ndarray:  # [B] int
-        return self.mask.sum(axis=1)
 
     @classmethod
     def pad(cls, inputs, cfg: ModelConfig, targets=None, conditions=None, utt_ids=None) -> "PaddedBatch":

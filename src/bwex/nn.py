@@ -289,47 +289,45 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
     dz_cell = dz_seq.reshape(batch, steps, 4, hidden)[:, :, :3]  # the i, f, g slots
     weights = p.recurrent_weights
     dh_next = np.zeros((batch, hidden), dtype=dh_seq.dtype)
-    dc_next = np.zeros_like(dh_next)
-    # dh_next = W^T dz. Unsplit (always at B = 1, where it is one
-    # matrix-vector call, and at B > SMALL_GEMM_MAX_COLS) it stays the
-    # product `dz @ W` on the stored weights, with the same bits; run as
-    # one row block of a copy of W^T it changes the chrnn training
-    # checkpoints pinned in tests/test_condition_track.py. Split into row
-    # blocks (see SMALL_GEMM_MNK) it needs C-ordered operands: one copy of
-    # W^T per call (0.3-0.4 ms at h=256, 46-55 ms at h=1024), and
-    # gate-major [4H, B] and [H, B] buffers for dz and the result.
-    # (Column blocks of the stored W need no copy, but at h=1024 their
-    # 4 KB row stride keeps the product at 7-10 ms against 1.1 ms.) A
-    # split step scales the factors into dz through [B, .] views of it,
-    # reading dz_seq rows in order, and copies them back for the weight
-    # gradients. One step body that scales in dz_seq and copies into dz
-    # only when split gives the same bits but was 1-6% slower (h=256,
-    # B=4, T=120 and 480, alternating in one process), so there are two.
+    dc_next, dh, dc = np.zeros_like(dh_next), np.empty_like(dh_next), np.empty_like(dh_next)
+    # One step body for every batch, allocating nothing: it scales the
+    # factors into the gate-major [4H, B] buffer dz through [B, .] views of
+    # it and copies dz back into dz_seq for the weight gradients. dh_next =
+    # W^T dz: split into row blocks (see SMALL_GEMM_MNK) it reads dz and a
+    # copy of W^T made once per call (0.3-0.4 ms at h=256, 46-55 ms at
+    # h=1024); unsplit (B = 1 and B > SMALL_GEMM_MAX_COLS) it stays `dz @ W`
+    # on the stored weights, whose bits the chrnn checkpoints in
+    # tests/test_condition_track.py pin. Against two bodies, the unsplit one
+    # scaling dz_seq in place (alternating in one process, BLAS on 1 thread),
+    # an h=32, B=1 step took 0.76-0.82 of the time (7.6 against 10.1 µs at
+    # T=120); at h=256, B = 1 to 4, and h=1024, B=1 neither won consistently.
+    dz = np.empty((4 * hidden, batch), dtype=dh_seq.dtype)
+    dz_gates = dz.reshape(4, hidden, batch)
+    dz_cell_rows, dzo_rows, dz_rows = dz_gates[:3].transpose(2, 0, 1), dz_gates[3].T, dz.T
+    dc_cols = dc[:, None]
     slices = _row_slices(hidden, batch, 4 * hidden)
     split = len(slices) > 1
     if split:
         weights_t = np.ascontiguousarray(weights.T)
-        dz = np.empty((4 * hidden, batch), dtype=dh_seq.dtype)
-        dz_gates = dz.reshape(4, hidden, batch)
-        dz_cell_rows, dzo_rows = dz_gates[:3].transpose(2, 0, 1), dz_gates[3].T
         dh_cols = np.empty((hidden, batch), dtype=dh_seq.dtype)
         products = [(weights_t[rows], dh_cols[rows]) for rows in slices]
-    for t in range(steps - 1, -1, -1):
-        dh = dh_seq[:, t] + dh_next
-        dc = dh * dh_to_dc[:, t]
+    add, multiply, matmul = np.add, np.multiply, np.matmul
+    # Per step, walking back in time, the [B, .] rows of step t.
+    step_rows = zip(*(rows.swapaxes(0, 1)[::-1] for rows in (dh_seq, dh_to_dc, dz_cell, dzo, dz_seq, gf)))
+    for dh_t, dh_to_dc_t, dz_cell_t, dzo_t, dz_t, gf_t in step_rows:
+        add(dh_t, dh_next, dh)
+        multiply(dh, dh_to_dc_t, dc)
         dc += dc_next
+        multiply(dz_cell_t, dc_cols, dz_cell_rows)
+        multiply(dzo_t, dh, dzo_rows)
+        dz_t[...] = dz_rows
         if split:
-            np.multiply(dz_cell[:, t], dc[:, None], dz_cell_rows)
-            np.multiply(dzo[:, t], dh, dzo_rows)
-            dz_seq[:, t] = dz.T
             for weight_rows, dh_rows in products:
                 weight_rows.dot(dz, dh_rows)
             dh_next[...] = dh_cols.T
         else:
-            dz_cell[:, t] *= dc[:, None]
-            dzo[:, t] *= dh
-            np.matmul(dz_seq[:, t], weights, dh_next)
-        dc_next = dc * gf[:, t]
+            matmul(dz_t, weights, dh_next)
+        multiply(dc, gf_t, dc_next)
     dz2 = dz_seq.reshape(-1, 4 * hidden)
     d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
     h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)

@@ -39,10 +39,12 @@ class TrainConfig:
     chunk_len: int = 480
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise FieldError("lr", f"must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise FieldError("lr", f"must be finite and >= 0, got {self.lr}")
+        if self.seed < 0:
+            raise FieldError("seed", f"must be >= 0, got {self.seed}")
         for field in ("batch_size", "max_epochs", "patience", "clip_norm", "chunk_len"):
-            if getattr(self, field) <= 0:
+            if not getattr(self, field) > 0:  # NaN too; an inf clip_norm never clips
                 raise FieldError(field, f"must be positive, got {getattr(self, field)}")
         if self.patience > self.max_epochs:
             raise FieldError("patience", f"must not exceed max_epochs ({self.max_epochs}), got {self.patience}")

@@ -289,7 +289,7 @@ def test_criterion_7_masking_and_tbptt():
         # Input padding beyond the receptive-field closure of the valid
         # region is inert too (within it, lookahead legitimately sees pads).
         inputs_c = batch.inputs.copy()
-        for row, valid_len in enumerate(batch.valid_lens):
+        for row, valid_len in enumerate(batch.mask.sum(axis=1)):
             closure = (int(np.ceil(valid_len / 16)) + 1) * 16
             inputs_c[row, closure:] = (inputs_c[row, closure:] + 55) % 256
         loss_c, grads_c = loss_and_grads(inputs_c, batch.targets)

@@ -3,6 +3,7 @@
 
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -473,11 +474,13 @@ class TestCliExtendOutput:
 
 
 def assert_data_error(capsys, argv):
-    """Exit 2 with a one-line `data error:` message and no traceback."""
+    """Exit 2 with a one-line `data error:` message, which it returns, and
+    no traceback."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 class TestCliDataErrors:
@@ -525,6 +528,31 @@ class TestCliDataErrors:
         save_wav(tmp_path / "nb.wav", synth_narrowband(400))
         argv = ["extend", "--model", str(tmp_path), "--in", str(tmp_path / "nb.wav"), "--out", str(tmp_path / "o.wav")]
         assert_data_error(capsys, argv)  # a directory where a file belongs
+
+    @pytest.mark.parametrize("command", ["extend", "features", "eval", "train"])
+    def test_wav_header_giving_zero_hz(self, tmp_path, capsys, command):
+        # The stdlib writer refuses a 0 Hz rate, so the header is packed here.
+        pcm = np.zeros(400, "<i2").tobytes()
+        fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 1, 1, 0, 0, 2, 16)  # PCM, mono, 0 Hz, 16-bit
+        body = b"WAVE" + fmt + struct.pack("<4sI", b"data", len(pcm)) + pcm
+        wav = tmp_path / "u.wav"
+        wav.write_bytes(struct.pack("<4sI", b"RIFF", len(body)) + body)
+        if command == "extend":
+            ckpt = tiny_checkpoint(tmp_path / "m.bweh")
+            argv = ["extend", "--model", str(ckpt), "--in", str(wav), "--out", str(tmp_path / "o.wav")]
+        elif command == "features":
+            argv = ["features", "--in", str(wav), "--out", str(tmp_path / "f.bwef")]
+        elif command == "eval":
+            for side in ("ref", "deg"):
+                (tmp_path / side).mkdir()
+                (tmp_path / side / "u.wav").write_bytes(wav.read_bytes())
+            argv = ["eval", "--ref", str(tmp_path / "ref"), "--deg", str(tmp_path / "deg"), "--report", str(tmp_path / "r.csv")]
+        else:
+            (tmp_path / "corpus.tsv").write_text(f"u\t{wav}\n")
+            manifests = f"data.train_manifest = {tmp_path / 'corpus.tsv'}\ndata.valid_manifest = {tmp_path / 'corpus.tsv'}\n"
+            (tmp_path / "toy.cfg").write_text(TOY_CONFIG + manifests)
+            argv = ["train", "--config", str(tmp_path / "toy.cfg"), "--out", str(tmp_path / "x.bweh")]
+        assert "u.wav: header gives a sample rate of 0 Hz" in assert_data_error(capsys, argv)
 
     def test_checkpoint_tensors_not_matching_config(self, tmp_path, capsys):
         from bwex.train import load_checkpoint, save_checkpoint
@@ -677,11 +705,25 @@ def test_help_exits_0(argv, capsys):
         ("model.concat = 2,0,4", "model.concat must all be >= 1, got (2, 0, 4)"),
         ("model.kind = chrnn\nmodel.cond_frame_shift = 0", "model.cond_frame_shift must be >= 1, got 0"),
         ("model.kind = chrnn\nmodel.cond_source = wav", "model.cond_source must be mfcc or file, got 'wav'"),
+        ("train.seed = -1", "train.seed must be >= 0, got -1"),
+        ("model.hf_gain = inf", "model.hf_gain must be finite, got inf"),
+        ("model.hf_gain = nan", "model.hf_gain must be finite, got nan"),
+        ("model.kind = chrnn\nmodel.cond_source = file\nmodel.cond_window_ms = nan", "model.cond_window_ms must be finite, got nan"),
+        ("train.lr = nan", "train.lr must be finite and >= 0, got nan"),
+        ("train.lr = inf", "train.lr must be finite and >= 0, got inf"),
+        ("train.clip_norm = nan", "train.clip_norm must be positive, got nan"),
     ],
-    ids=["hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift", "cond_source"],
+    ids=[
+        "hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift", "cond_source",
+        "seed", "hf_gain_inf", "hf_gain_nan", "cond_window_ms_nan", "lr_nan", "lr_inf", "clip_norm_nan",
+    ],
 )
 def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):
     cfg = tmp_path / "m.cfg"
     cfg.write_text(text + "\n")
     assert main(["latency", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_an_infinite_clip_norm_parses():
+    assert build_run_config("train.clip_norm = inf\n").train_cfg.clip_norm == float("inf")

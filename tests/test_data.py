@@ -285,12 +285,12 @@ class TestTbptt:
         cfg = tiny_cfg()
         pairs = [build_pair(synth_wideband(n, seed=n), utt_id=f"u{n}") for n in (1000, 300, 520)]
         batch = make_batch(pairs, cfg)
-        np.testing.assert_array_equal(batch.valid_lens, [1000, 300, 520])
+        np.testing.assert_array_equal(batch.mask.sum(axis=1), [1000, 300, 520])
         chunks = tbptt_chunks(batch, 480, cfg)
         assert all(isinstance(chunk, PaddedBatch) for chunk in chunks)
         assert all(chunk.utt_ids == ("u1000", "u300", "u520") for chunk in chunks)
-        np.testing.assert_array_equal([c.valid_lens for c in chunks], [[480, 300, 480], [480, 0, 40], [40, 0, 0]])
-        np.testing.assert_array_equal(sum(c.valid_lens for c in chunks), batch.valid_lens)
+        np.testing.assert_array_equal([c.mask.sum(axis=1) for c in chunks], [[480, 300, 480], [480, 0, 40], [40, 0, 0]])
+        np.testing.assert_array_equal(sum(c.mask.sum(axis=1) for c in chunks), batch.mask.sum(axis=1))
 
     def test_chunk_lengths_and_flags(self):
         pairs = [build_pair(synth_wideband(1000), utt_id="u")]

@@ -95,7 +95,7 @@ class TestPaddedBatchPad:
     def test_spec_example(self):
         batch = PaddedBatch.pad([np.arange(100) % 256], tiny_cfg())
         assert batch.inputs.shape == (1, 128)  # 112 output region + 16 lookahead
-        assert batch.n_steps == 112 and batch.valid_lens.tolist() == [100]
+        assert batch.n_steps == 112 and batch.mask.sum(axis=1).tolist() == [100]
         assert batch.mask[0, :100].all() and not batch.mask[0, 100:].any()
         assert np.all(batch.inputs[0, 100:] == 128)
         assert batch.targets is None and batch.conditions is None and batch.utt_ids == ("",)
@@ -127,7 +127,7 @@ class TestPaddedBatchPad:
         batch = PaddedBatch.pad(rows, cfg, conditions=tracks, utt_ids=["a", "b"])
         assert batch.targets is None and batch.utt_ids == ("a", "b")
         assert batch.inputs.shape == (2, 44) and batch.n_steps == 40
-        np.testing.assert_array_equal(batch.valid_lens, [40, 17])
+        np.testing.assert_array_equal(batch.mask.sum(axis=1), [40, 17])
         for row, levels, n in zip(batch.inputs, rows, (40, 17)):
             np.testing.assert_array_equal(row[:n], levels)
             assert np.all(row[n:] == 128)

@@ -298,6 +298,68 @@ def _reference_lstm_backward(p, cache, dh_seq):
     return (d_input_w, d_recur_w, dz2.sum(axis=0)), dz_seq @ p.input_weights, dh_next, dc_next
 
 
+def _two_arm_lstm_backward(p, cache, dh_seq):
+    """The step loop `lstm_backward` ran with two arms: at a row-blocked
+    batch it scaled the gate factors into a gate-major [4H, B] buffer and
+    copied them back, at any other it scaled the dz_seq rows in place and
+    formed dh_next as `dz @ W`. A step allocated dh, dc and dc_next."""
+    batch, steps, hidden = cache.h.shape
+    gi, gf, gg, go = np.split(cache.gates, 4, axis=-1)
+    tc = cache.tanh_c
+    dz_seq = np.empty_like(cache.gates)
+    dzi, dzf, dzg, dzo = np.split(dz_seq, 4, axis=-1)
+    np.subtract(1.0, gi, out=dzi)
+    dzi *= gi
+    dzi *= gg
+    np.subtract(1.0, gf, out=dzf)
+    dzf *= gf
+    dzf[:, 0] *= cache.c0
+    dzf[:, 1:] *= cache.c[:, :-1]
+    np.multiply(gg, gg, out=dzg)
+    np.subtract(1.0, dzg, out=dzg)
+    dzg *= gi
+    np.subtract(1.0, go, out=dzo)
+    dzo *= go
+    dzo *= tc
+    dh_to_dc = np.multiply(tc, tc)
+    np.subtract(1.0, dh_to_dc, out=dh_to_dc)
+    dh_to_dc *= go
+    dz_cell = dz_seq.reshape(batch, steps, 4, hidden)[:, :, :3]
+    weights = p.recurrent_weights
+    dh_next = np.zeros((batch, hidden), dtype=dh_seq.dtype)
+    dc_next = np.zeros_like(dh_next)
+    slices = nn._row_slices(hidden, batch, 4 * hidden)
+    split = len(slices) > 1
+    if split:
+        weights_t = np.ascontiguousarray(weights.T)
+        dz = np.empty((4 * hidden, batch), dtype=dh_seq.dtype)
+        dz_gates = dz.reshape(4, hidden, batch)
+        dz_cell_rows, dzo_rows = dz_gates[:3].transpose(2, 0, 1), dz_gates[3].T
+        dh_cols = np.empty((hidden, batch), dtype=dh_seq.dtype)
+        products = [(weights_t[rows], dh_cols[rows]) for rows in slices]
+    for t in range(steps - 1, -1, -1):
+        dh = dh_seq[:, t] + dh_next
+        dc = dh * dh_to_dc[:, t]
+        dc += dc_next
+        if split:
+            np.multiply(dz_cell[:, t], dc[:, None], dz_cell_rows)
+            np.multiply(dzo[:, t], dh, dzo_rows)
+            dz_seq[:, t] = dz.T
+            for weight_rows, dh_rows in products:
+                weight_rows.dot(dz, dh_rows)
+            dh_next[...] = dh_cols.T
+        else:
+            dz_cell[:, t] *= dc[:, None]
+            dzo[:, t] *= dh
+            np.matmul(dz_seq[:, t], weights, dh_next)
+        dc_next = dc * gf[:, t]
+    dz2 = dz_seq.reshape(-1, 4 * hidden)
+    d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
+    h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)
+    d_recur_w = dz2.T @ h_prev_seq.reshape(-1, hidden)
+    return (d_input_w, d_recur_w, dz2.sum(axis=0)), dz_seq @ p.input_weights, dh_next, dc_next
+
+
 def _former_lstm_forward(p, x, h0, c0):
     """The step body `lstm_forward` ran before its gate buffer became
     gate-major: gates in a [B, 4H] buffer, the recurrent product as
@@ -425,6 +487,27 @@ class TestLstmKernels:
             # rounding in the largest entry, not a relative one
             atol = rtol * float(np.abs(w).max())
             np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden, batch", [(256, 4), (8, 1), (8, 3), (256, 16)])
+    def test_backward_equals_the_two_arm_loop_bit_for_bit(self, hidden, batch, dtype):
+        # h=256, B=4 is row-blocked; the others form `dz @ W`, B=16 above
+        # nn.SMALL_GEMM_MAX_COLS. Non-dyadic data, so every rounding shows.
+        assert (len(nn._row_slices(hidden, batch, 4 * hidden)) > 1) == ((hidden, batch) == (256, 4))
+        rng = np.random.default_rng(hidden + batch)
+        n_in, steps = 5, 12
+        p = LstmParams.create(hidden, n_in, rng, dtype=dtype)
+        p.biases[...] = rng.standard_normal(4 * hidden)
+        x = rng.standard_normal((batch, steps, n_in)).astype(dtype)
+        h0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        c0 = rng.standard_normal((batch, hidden)).astype(dtype)
+        dh_seq = rng.standard_normal((batch, steps, hidden)).astype(dtype)
+        _, _, cache = lstm_forward(p, x, h0, c0)
+        got = lstm_backward(p, cache, dh_seq)
+        want = _two_arm_lstm_backward(p, cache, dh_seq)
+        for name, g, w in zip(["dWx", "dWh", "db", "dx", "dh0", "dc0"], [*got[0], *got[1:]], [*want[0], *want[1:]]):
+            assert g.dtype == w.dtype, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
 
     def test_backward_leaves_the_cache_unmodified(self):
         rng = np.random.default_rng(3)
