@@ -42,11 +42,10 @@ def _set_threads(raw: str | None):
 
 def cmd_train(args) -> int:
     from . import data
-    from .config import build_run_config
+    from .config import read_run_config
     from .train import save_checkpoint, train
 
-    text = Path(args.config).read_text(encoding="utf-8")
-    run_cfg = build_run_config(text)
+    text, run_cfg = read_run_config(args.config)
     if run_cfg.train_manifest is None or run_cfg.valid_manifest is None:
         raise data.DataError("config must set data.train_manifest and data.valid_manifest")
     train_manifest = data.load_manifest(run_cfg.train_manifest, split="train")
@@ -160,12 +159,11 @@ def cmd_features(args) -> int:
 
 
 def cmd_latency(args) -> int:
-    from .config import build_run_config
+    from .config import read_run_config
     from .dsp import WIDEBAND_RATE
     from .models import max_latency_ms
 
-    text = Path(args.config).read_text(encoding="utf-8")
-    run_cfg = build_run_config(text)
+    _, run_cfg = read_run_config(args.config)
     ms = max_latency_ms(run_cfg.model_cfg, WIDEBAND_RATE)
     print(f"{ms:g} ms")
     return EXIT_OK

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from .data import read_utf8
 from .dsp import MFCC_TRACK
 from .models import FieldError, HrnnConfig, ModelConfig, SrnnConfig, build_model
 from .train import Checkpoint, CheckpointError, TrainConfig
@@ -145,6 +146,13 @@ def build_run_config(text: str) -> RunConfig:
         train_manifest=data.get("train_manifest"),
         valid_manifest=data.get("valid_manifest"),
     )
+
+
+def read_run_config(path) -> tuple[str, RunConfig]:
+    """The text of the config file at `path` and its RunConfig. A file that
+    is not UTF-8 text is a ConfigError naming it."""
+    text = read_utf8(path, ConfigError)
+    return text, build_run_config(text)
 
 
 def serialize_config(train_cfg: TrainConfig, train_manifest=None, valid_manifest=None) -> str:

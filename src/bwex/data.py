@@ -147,11 +147,22 @@ class CorpusManifest:
     split: str = "train"
 
 
+def read_utf8(path, error=DataError) -> str:
+    """The text of the file at `path`; bytes that are not UTF-8 raise
+    `error` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_manifest(path, split: str = "train") -> CorpusManifest:
+    """The entries of the manifest at `path`. A file that is not UTF-8 text,
+    a malformed line, or no entry at all is a DataError naming the file."""
     entries = []
     seen = set()
     base = Path(path).parent
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -167,6 +178,8 @@ def load_manifest(path, split: str = "train") -> CorpusManifest:
         if not wav_path.exists():
             raise DataError(f"{path}:{lineno}: missing wav file {wav_path}")
         entries.append(ManifestEntry(utt_id, wav_path, feature_path))
+    if not entries:
+        raise DataError(f"{path}: no utterances")
     return CorpusManifest(tuple(entries), split)
 
 
@@ -304,7 +317,6 @@ def make_batch(pairs, model_cfg: ModelConfig) -> PaddedBatch:
         model_cfg,
         targets=[pair.target_levels.levels for pair in pairs],
         conditions=conditions,
-        utt_ids=[pair.utt_id for pair in pairs],
     )
 
 

@@ -55,10 +55,6 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclasses.dataclass(frozen=True)
 class QuantizedWaveform:

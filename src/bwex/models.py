@@ -161,6 +161,8 @@ class HrnnConfig(_SharedConfig):
         if shift is not None and shift < 1:
             raise FieldError("cond_frame_shift", f"must be >= 1, got {shift}")
         super().__post_init__()
+        if self.cond_window_ms is not None and self.cond_window_ms < 0:
+            raise FieldError("cond_window_ms", f"must be >= 0, got {self.cond_window_ms}")
         # Bottom up: the sample tier, the frame tiers, then the conditional one.
         tiers = [TierSpec(1, n_concat[-1], "sample")]
         tiers += [TierSpec(size, concat, "intermediate") for size, concat in zip(frame_sizes[::-1], n_concat[-2::-1])]
@@ -231,14 +233,13 @@ class PaddedBatch:
     targets: np.ndarray | None  # [B, n_steps] int32
     mask: np.ndarray          # [B, n_steps] bool
     conditions: np.ndarray | None  # [B, n_steps / top_frame_size, dim] float32
-    utt_ids: tuple[str, ...]
 
     @property
     def n_steps(self) -> int:
         return self.mask.shape[1]
 
     @classmethod
-    def pad(cls, inputs, cfg: ModelConfig, targets=None, conditions=None, utt_ids=None) -> "PaddedBatch":
+    def pad(cls, inputs, cfg: ModelConfig, targets=None, conditions=None) -> "PaddedBatch":
         """The batch of level rows `inputs`, each padded with PAD_LEVEL (zero
         amplitude) to whole top-tier frames of cfg, plus cfg's lookahead.
 
@@ -268,7 +269,7 @@ class PaddedBatch:
             if conditions is not None:
                 wanted = -(-n // multiple)  # frames covering this row
                 frames[i, :wanted] = align_condition_frames(conditions[i].frames, wanted)
-        return cls(padded, padded_targets, mask, frames, tuple(utt_ids) if utt_ids is not None else ("",) * batch)
+        return cls(padded, padded_targets, mask, frames)
 
     def window(self, start: int, stop: int, cfg: ModelConfig) -> "PaddedBatch":
         """The view of output steps start..stop, whole top-tier frames of
@@ -279,7 +280,6 @@ class PaddedBatch:
             targets=None if self.targets is None else self.targets[:, start:stop],
             mask=self.mask[:, start:stop],
             conditions=None if self.conditions is None else self.conditions[:, start // multiple : stop // multiple],
-            utt_ids=self.utt_ids,
         )
 
 
@@ -677,7 +677,6 @@ def forward_chunks(model, chunks, cache: bool = True):
                 targets=None if chunk.targets is None else chunk.targets[live],
                 mask=chunk.mask[live],
                 conditions=None if chunk.conditions is None else chunk.conditions[live],
-                utt_ids=tuple(chunk.utt_ids[i] for i in live),
             )
         logits, fwd_cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state, cache=cache)
         yield chunk, int(chunk.mask.sum()), logits, fwd_cache

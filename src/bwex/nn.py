@@ -157,11 +157,11 @@ def _row_slices(rows: int, cols: int, inner: int) -> list:
 class LstmCache:
     x: np.ndarray        # [B, T, n_in]
     h0: np.ndarray       # [B, H]
-    c0: np.ndarray       # [B, H]
     h: np.ndarray        # [B, T, H]
-    c: np.ndarray        # [B, T, H]
-    gates: np.ndarray    # [B, T, 4H] post-activation (i, f, g, o)
-    tanh_c: np.ndarray   # [B, T, H]
+    # [B, T + 1, 5H]: row t is the forward's [c, i, f, g, o] buffer before
+    # step t's cell update, so c_{t-1} and the post-activation gates. Row T
+    # holds c_T; its gate slots are never read.
+    cells: np.ndarray
 
 
 def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, cache: bool = True):
@@ -177,8 +177,8 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     (one per row block), the input add, one tanh over the gates, their
     scale and shift, one product that forms c f and i g side by side,
     their sum, tanh(c) and the h product. Only with `cache` does it copy
-    the gates, c and tanh(c) into the [B, T, .] rows that `lstm_backward`
-    reads. Without it the cache is None.
+    that buffer, c_{t-1} and the gates, into its row of `LstmCache.cells`
+    for `lstm_backward`. Without it the cache is None.
     """
     _check_last_dim("lstm_forward", x, p.input_weights.shape[1])
     batch, steps, _ = x.shape
@@ -218,9 +218,7 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     c[...] = c0.T
     tc = np.empty_like(c)
     if cache:
-        gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
-        c_seq = np.empty((batch, steps, hidden), dtype=x.dtype)
-        tanh_c = np.empty_like(c_seq)
+        cells = np.empty((batch, steps + 1, 5 * hidden), dtype=x.dtype)
     # Weight on the left and a C-ordered [H, B] hidden operand, split into
     # row blocks under SMALL_GEMM_MNK at B > 1; `dot` writes each block
     # straight into its rows of g, without the np.dot dispatcher or a
@@ -243,16 +241,15 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
         g *= scale
         g += shift
         if cache:
-            gates[:, t] = g.T  # before the product overwrites i
+            cells[:, t] = cell.T  # before the product overwrites c and i
         multiply(c_i, f_g, c_i)
         c += i_g
         tanh(c, tc)
         h_t = multiply(go, tc, h_next)
-        if cache:
-            c_seq[:, t] = c.T
-            tanh_c[:, t] = tc.T
     h_seq = np.ascontiguousarray(h_steps.transpose(2, 0, 1))  # no copy at B = 1
-    lstm_cache = LstmCache(x, h0, c0, h_seq, c_seq, gates, tanh_c) if cache else None
+    if cache:
+        cells[:, steps, :hidden] = c.T
+    lstm_cache = LstmCache(x, h0, h_seq, cells) if cache else None
     return h_seq, (h_seq[:, -1].copy(), c.T), lstm_cache
 
 
@@ -264,19 +261,19 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
     """
     batch, steps, hidden = cache.h.shape
     # Every gate derivative is (dc or dh) times a factor of the cached
-    # forward alone, so the factors are computed for the whole sequence
-    # before the loop: dz_seq holds them, the loop scales them.
-    gi, gf, gg, go = _split_gates(cache.gates, hidden)
-    tc = cache.tanh_c
-    dz_seq = np.empty_like(cache.gates)
+    # forward alone, so the factors, and tanh(c_t) once more, are computed
+    # for the whole sequence before the loop: dz_seq holds them, the loop
+    # scales them.
+    gi, gf, gg, go = _split_gates(cache.cells[:, :-1, hidden:], hidden)
+    tc = np.tanh(cache.cells[:, 1:, :hidden])
+    dz_seq = np.empty((batch, steps, 4 * hidden), dtype=tc.dtype)
     dzi, dzf, dzg, dzo = _split_gates(dz_seq, hidden)
     np.subtract(1.0, gi, out=dzi)  # gg gi (1 - gi)
     dzi *= gi
     dzi *= gg
     np.subtract(1.0, gf, out=dzf)  # c_prev gf (1 - gf)
     dzf *= gf
-    dzf[:, 0] *= cache.c0
-    dzf[:, 1:] *= cache.c[:, :-1]
+    dzf *= cache.cells[:, :-1, :hidden]
     np.multiply(gg, gg, out=dzg)  # gi (1 - gg^2)
     np.subtract(1.0, dzg, out=dzg)
     dzg *= gi

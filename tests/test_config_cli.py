@@ -288,6 +288,14 @@ class TestCliTrain:
         config.write_text(TOY_CONFIG + "data.train_manifest = nope.tsv\ndata.valid_manifest = nope.tsv\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "x.bweh")]) == 2
 
+    def test_empty_manifest_is_a_data_error(self, toy_corpus, capsys):
+        tmp_path, config, manifest = toy_corpus
+        manifest.write_text("# no utterances yet\n")
+        out = tmp_path / "x.bweh"
+        err = assert_data_error(capsys, ["train", "--config", str(config), "--out", str(out)])
+        assert err == f"data error: {manifest}: no utterances\n"
+        assert not out.exists()
+
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "dup.cfg"
         config.write_text("model.hidden = 8\nmodel.hidden = 9\n")
@@ -709,13 +717,15 @@ def test_help_exits_0(argv, capsys):
         ("model.hf_gain = inf", "model.hf_gain must be finite, got inf"),
         ("model.hf_gain = nan", "model.hf_gain must be finite, got nan"),
         ("model.kind = chrnn\nmodel.cond_source = file\nmodel.cond_window_ms = nan", "model.cond_window_ms must be finite, got nan"),
+        ("model.kind = chrnn\nmodel.cond_source = file\nmodel.cond_window_ms = -40", "model.cond_window_ms must be >= 0, got -40.0"),
         ("train.lr = nan", "train.lr must be finite and >= 0, got nan"),
         ("train.lr = inf", "train.lr must be finite and >= 0, got inf"),
         ("train.clip_norm = nan", "train.clip_norm must be positive, got nan"),
     ],
     ids=[
         "hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift", "cond_source",
-        "seed", "hf_gain_inf", "hf_gain_nan", "cond_window_ms_nan", "lr_nan", "lr_inf", "clip_norm_nan",
+        "seed", "hf_gain_inf", "hf_gain_nan", "cond_window_ms_nan", "cond_window_ms_negative", "lr_nan", "lr_inf",
+        "clip_norm_nan",
     ],
 )
 def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):
@@ -727,3 +737,23 @@ def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):
 
 def test_an_infinite_clip_norm_parses():
     assert build_run_config("train.clip_norm = inf\n").train_cfg.clip_norm == float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, bad_file, code",
+    [("train", "config", 1), ("train", "manifest", 2), ("latency", "config", 1), ("eval", "manifest", 2)],
+)
+def test_a_file_that_is_not_utf8_is_named_in_one_line(toy_corpus, capsys, command, bad_file, code):
+    tmp_path, config, manifest = toy_corpus
+    bad = {"config": config, "manifest": manifest}[bad_file]
+    bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+    argv = {
+        "train": ["train", "--config", str(config), "--out", str(tmp_path / "x.bweh")],
+        "latency": ["latency", "--config", str(config)],
+        "eval": ["eval", "--ref", str(manifest), "--deg", str(tmp_path / "wavs"), "--report", str(tmp_path / "r.csv")],
+    }[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    kind = "config" if code == 1 else "data"
+    assert err.startswith(f"{kind} error: {bad}: not UTF-8 text (invalid start byte at byte ")
+    assert err.count("\n") == 1 and "Traceback" not in err

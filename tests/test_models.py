@@ -98,7 +98,7 @@ class TestPaddedBatchPad:
         assert batch.n_steps == 112 and batch.mask.sum(axis=1).tolist() == [100]
         assert batch.mask[0, :100].all() and not batch.mask[0, 100:].any()
         assert np.all(batch.inputs[0, 100:] == 128)
-        assert batch.targets is None and batch.conditions is None and batch.utt_ids == ("",)
+        assert batch.targets is None and batch.conditions is None
 
     def test_no_padding_when_aligned(self):
         cfg = tiny_cfg(n_concat=(1, 1, 1))
@@ -124,8 +124,8 @@ class TestPaddedBatchPad:
         cfg = tiny_cfg(frame_sizes=(4, 2), n_concat=(2, 2, 2), cond_frame_shift=8, cond_dim=2)
         tracks = [ConditionTrack(np.arange(6.0).reshape(3, 2) + 1, 8), ConditionTrack(-np.ones((2, 2)) * [1, 2], 8)]
         rows = [np.arange(40) % 256, np.arange(17) + 100]
-        batch = PaddedBatch.pad(rows, cfg, conditions=tracks, utt_ids=["a", "b"])
-        assert batch.targets is None and batch.utt_ids == ("a", "b")
+        batch = PaddedBatch.pad(rows, cfg, conditions=tracks)
+        assert batch.targets is None
         assert batch.inputs.shape == (2, 44) and batch.n_steps == 40
         np.testing.assert_array_equal(batch.mask.sum(axis=1), [40, 17])
         for row, levels, n in zip(batch.inputs, rows, (40, 17)):

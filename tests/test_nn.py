@@ -2,6 +2,7 @@
 Adam against a hand-computed recurrence, and gradient-check plumbing."""
 
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -152,12 +153,13 @@ class TestLstm:
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
             h_seq, _, cache = lstm_forward(p, np.zeros((2, 3, 1), np.float32), zeros, zeros)
-        gi, gf, gg, go = np.split(cache.gates, 4, axis=-1)
+        rows = _three_copy_cache(cache)
+        gi, gf, gg, go = np.split(rows.gates, 4, axis=-1)
         sign = signs[:hidden]
         for gate in (gi, gf, go):
             np.testing.assert_array_equal(gate, np.broadcast_to(sign > 0, gate.shape))
         np.testing.assert_array_equal(gg, np.broadcast_to(sign, gg.shape))
-        assert np.isfinite(h_seq).all() and np.isfinite(cache.c).all()
+        assert np.isfinite(h_seq).all() and np.isfinite(rows.c).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gate_logistic_matches_scipy_expit(self, dtype):
@@ -168,7 +170,7 @@ class TestLstm:
         p = LstmParams(np.ones((4, 1), dtype), np.zeros((4, 1), dtype), np.zeros(4, dtype))
         zeros = np.zeros((z.size, 1), dtype)
         _, _, cache = lstm_forward(p, z[:, None, None], zeros, zeros)
-        gi, gf, gg, go = cache.gates[:, 0].T
+        gi, gf, gg, go = _three_copy_cache(cache).gates[:, 0].T
         want = expit(z)
         # 1/2 + tanh(z/2)/2 is within one machine epsilon of expit: at most
         # 2 ulp on z >= 0, where the gate is in [1/2, 1]. For z < 0 the sum
@@ -233,6 +235,18 @@ class TestLstm:
                 np.testing.assert_allclose(gflat[i], (lp - lm) / (2 * h), atol=1e-6)
 
 
+def _three_copy_cache(cache):
+    """The fields an `LstmCache` held before `cells` was its one buffer:
+    x, h0 and h, and c0 [B, H] and c, the gates and tanh(c) [B, T, .],
+    read from `cells`."""
+    hidden = cache.h.shape[-1]
+    c = cache.cells[:, 1:, :hidden]
+    return types.SimpleNamespace(
+        x=cache.x, h0=cache.h0, h=cache.h, c0=cache.cells[:, 0, :hidden], c=c,
+        gates=cache.cells[:, :-1, hidden:], tanh_c=np.tanh(c),
+    )
+
+
 def _gate_major_product(weights, h):
     """W h on a C-ordered [H, B] h, the operand `lstm_forward` passes, as
     [B, 4H] rows."""
@@ -269,7 +283,8 @@ def _reference_lstm_rows(p, x, h0, c0, product=_gate_major_product):
 
 
 def _reference_lstm_backward(p, cache, dh_seq):
-    """The per-step BPTT formulas, every gate derivative formed in the loop."""
+    """The per-step BPTT formulas, every gate derivative formed in the loop,
+    on a `_three_copy_cache`."""
     batch, steps, hidden = cache.h.shape
     dz_seq = np.empty_like(cache.gates)
     dh_next = np.zeros((batch, hidden), dtype=dh_seq.dtype)
@@ -302,7 +317,8 @@ def _two_arm_lstm_backward(p, cache, dh_seq):
     """The step loop `lstm_backward` ran with two arms: at a row-blocked
     batch it scaled the gate factors into a gate-major [4H, B] buffer and
     copied them back, at any other it scaled the dz_seq rows in place and
-    formed dh_next as `dz @ W`. A step allocated dh, dc and dc_next."""
+    formed dh_next as `dz @ W`. A step allocated dh, dc and dc_next. It
+    reads the three-copy fields c0, c, gates and tanh_c."""
     batch, steps, hidden = cache.h.shape
     gi, gf, gg, go = np.split(cache.gates, 4, axis=-1)
     tc = cache.tanh_c
@@ -460,7 +476,7 @@ class TestLstmKernels:
         h_seq, (h_last, c_last), cache = lstm_forward(p, x, h0, c0)
         ref_h, ref_c = _reference_lstm_forward(p, x, h0, c0)
         np.testing.assert_array_equal(h_seq, ref_h)
-        np.testing.assert_array_equal(cache.c, ref_c)
+        np.testing.assert_array_equal(_three_copy_cache(cache).c, ref_c)
         np.testing.assert_array_equal(h_last, ref_h[:, -1])
         np.testing.assert_array_equal(c_last, ref_c[:, -1])
 
@@ -477,7 +493,7 @@ class TestLstmKernels:
         dh_seq = rng.standard_normal((batch, steps, hidden)).astype(dtype)
         _, _, cache = lstm_forward(p, x, h0, c0)
         got = lstm_backward(p, cache, dh_seq)
-        want = _reference_lstm_backward(p, cache, dh_seq)
+        want = _reference_lstm_backward(p, _three_copy_cache(cache), dh_seq)
         got_flat = [*got[0], *got[1:]]
         want_flat = [*want[0], *want[1:]]
         names = ["dWx", "dWh", "db", "dx", "dh0", "dc0"]
@@ -489,23 +505,30 @@ class TestLstmKernels:
             np.testing.assert_allclose(g, w, rtol=rtol, atol=atol, err_msg=name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("hidden, batch", [(256, 4), (8, 1), (8, 3), (256, 16)])
-    def test_backward_equals_the_two_arm_loop_bit_for_bit(self, hidden, batch, dtype):
-        # h=256, B=4 is row-blocked; the others form `dz @ W`, B=16 above
-        # nn.SMALL_GEMM_MAX_COLS. Non-dyadic data, so every rounding shows.
+    @pytest.mark.parametrize("hidden, batch, steps", [(256, 4, 12), (8, 1, 12), (8, 3, 12), (256, 16, 12), (32, 1, 1)])
+    def test_cached_pair_equals_the_three_copy_cache_bit_for_bit(self, hidden, batch, steps, dtype):
+        # The reference keeps the gates, c and tanh(c) in three [B, T, .]
+        # caches, copied in every step by the per-step scaled body, and
+        # runs the two-arm backward on them. h=256, B=4 is row-blocked; the
+        # others form `dz @ W`, B=16 above nn.SMALL_GEMM_MAX_COLS, and T=1
+        # has no c_{t-1} but c0. Non-dyadic data, so every rounding shows.
         assert (len(nn._row_slices(hidden, batch, 4 * hidden)) > 1) == ((hidden, batch) == (256, 4))
         rng = np.random.default_rng(hidden + batch)
-        n_in, steps = 5, 12
+        n_in = 5
         p = LstmParams.create(hidden, n_in, rng, dtype=dtype)
         p.biases[...] = rng.standard_normal(4 * hidden)
         x = rng.standard_normal((batch, steps, n_in)).astype(dtype)
         h0 = rng.standard_normal((batch, hidden)).astype(dtype)
         c0 = rng.standard_normal((batch, hidden)).astype(dtype)
         dh_seq = rng.standard_normal((batch, steps, hidden)).astype(dtype)
-        _, _, cache = lstm_forward(p, x, h0, c0)
+        h_seq, (h_last, c_last), cache = lstm_forward(p, x, h0, c0)
         got = lstm_backward(p, cache, dh_seq)
-        want = _two_arm_lstm_backward(p, cache, dh_seq)
-        for name, g, w in zip(["dWx", "dWh", "db", "dx", "dh0", "dc0"], [*got[0], *got[1:]], [*want[0], *want[1:]]):
+        want_h, (want_h_last, want_c_last), rows = _per_step_scaled_lstm_forward(p, x, h0, c0)
+        want = _two_arm_lstm_backward(p, types.SimpleNamespace(x=x, h0=h0, c0=c0, h=want_h, **rows), dh_seq)
+        names = ["h_seq", "h_last", "c_last", "dWx", "dWh", "db", "dx", "dh0", "dc0"]
+        gots = [h_seq, h_last, c_last, *got[0], *got[1:]]
+        wants = [want_h, want_h_last, want_c_last, *want[0], *want[1:]]
+        for name, g, w in zip(names, gots, wants, strict=True):
             assert g.dtype == w.dtype, name
             np.testing.assert_array_equal(g, w, err_msg=name)
 
@@ -515,7 +538,7 @@ class TestLstmKernels:
         x = rng.standard_normal((4, 6, 3)).astype(np.float32)
         zeros = np.zeros((4, 8), np.float32)
         _, _, cache = lstm_forward(p, x, zeros, zeros)
-        before = {name: getattr(cache, name).copy() for name in ("gates", "c", "tanh_c")}
+        before = {name: getattr(cache, name).copy() for name in ("x", "h0", "h", "cells")}
         lstm_backward(p, cache, rng.standard_normal((4, 6, 8)).astype(np.float32))
         for name, value in before.items():
             np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
@@ -537,9 +560,10 @@ class TestLstmKernels:
         dh_seq = rng.standard_normal((batch, steps, hidden)).astype(dtype)
         _, _, cache = lstm_forward(p, x, h0, c0)
         ref = _reference_lstm_rows(p, x, h0, c0, product=lambda w, h: h @ w.T)
+        rows = _three_copy_cache(cache)
         got = lstm_backward(p, cache, dh_seq)
-        want = _reference_lstm_backward(p, cache, dh_seq)
-        pairs = [(name, getattr(cache, name), ref[name]) for name in ("h", "c", "gates", "tanh_c")]
+        want = _reference_lstm_backward(p, rows, dh_seq)
+        pairs = [(name, getattr(rows, name), ref[name]) for name in ("h", "c", "gates", "tanh_c")]
         pairs += zip(["dWx", "dWh", "db", "dx", "dh0", "dc0"], [*got[0], *got[1:]], [*want[0], *want[1:]])
         for name, g, w in pairs:
             assert g.shape == w.shape and g.dtype == w.dtype, name
@@ -599,8 +623,9 @@ class TestLstmInference:
         for got_h, got_c in ((h_last, c_last), (cached_h_last, cached_c_last)):
             np.testing.assert_array_equal(got_h, ref["h"][:, -1])
             np.testing.assert_array_equal(got_c, ref["c"][:, -1])
+        rows = _three_copy_cache(cached)
         for name in ("gates", "c", "tanh_c"):
-            np.testing.assert_array_equal(getattr(cached, name), ref[name], err_msg=name)
+            np.testing.assert_array_equal(getattr(rows, name), ref[name], err_msg=name)
 
     @pytest.mark.parametrize("cache", [False, True])
     @pytest.mark.parametrize("hidden, n_in", [(32, 32), (8, 3), (1024, 1024)])
@@ -645,7 +670,7 @@ class TestLstmInference:
         np.testing.assert_array_equal(c_last, want_c_last)
         assert (got is None) == (not cache)
         for name, want in (want_rows or {}).items():
-            np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)
+            np.testing.assert_array_equal(getattr(_three_copy_cache(got), name), want, err_msg=name)
 
     def test_states_in_another_dtype_are_cast(self):
         rng = np.random.default_rng(6)

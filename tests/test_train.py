@@ -291,29 +291,33 @@ class TestDroppedRows:
         row_sets = [tuple(np.flatnonzero(chunk.mask[:, 0])) for chunk in full]
         assert row_sets[0] == (0, 1, 2) and (0, 1) in row_sets and row_sets[-1] == (1,)
         assert len(walked) == len(full)
+        start = 0
         for chunk, whole, rows in zip(walked, full, row_sets):
             rows = list(rows)
-            assert chunk.utt_ids == tuple(batch.utt_ids[r] for r in rows)
+            np.testing.assert_array_equal(chunk.inputs, batch.inputs[rows, start : start + whole.inputs.shape[1]])
             np.testing.assert_array_equal(chunk.inputs, whole.inputs[rows])
             np.testing.assert_array_equal(chunk.targets, whole.targets[rows])
             np.testing.assert_array_equal(chunk.mask, whole.mask[rows])
             if whole.conditions is not None:
                 np.testing.assert_array_equal(chunk.conditions, whole.conditions[rows])
+            start += whole.n_steps
 
     @pytest.mark.parametrize("kind", ["hrnn", "chrnn"])
     def test_each_row_matches_its_utterance_walked_alone(self, kind):
         # A carried state mapped to the wrong row would show here.
+        # A chunk's rows are the batch rows valid at its first position.
         model, pairs, batch = self.setup(kind)
-        batched = {utt: [] for utt in batch.utt_ids}
-        for chunk, _, logits, _ in self.walk(model, batch):
-            for row, utt in enumerate(chunk.utt_ids):
-                batched[utt].append(logits[row][chunk.mask[row]])
-        for pair in pairs:
+        full = data.tbptt_chunks(batch, self.CHUNK, model.cfg)
+        batched = [[] for _ in pairs]
+        for (chunk, _, logits, _), whole in zip(self.walk(model, batch), full):
+            for row, batch_row in enumerate(np.flatnonzero(whole.mask[:, 0])):
+                batched[batch_row].append(logits[row][chunk.mask[row]])
+        for batch_row, pair in enumerate(pairs):
             alone = make_batch([pair], model.cfg)
             walk = self.walk(model, alone)
             expected = [logits[0][chunk.mask[0]] for chunk, _, logits, _ in walk]
-            assert len(batched[pair.utt_id]) == len(expected)
-            for got, want in zip(batched[pair.utt_id], expected):
+            assert len(batched[batch_row]) == len(expected)
+            for got, want in zip(batched[batch_row], expected):
                 np.testing.assert_allclose(got, want, rtol=1e-10)
 
     @pytest.mark.parametrize("kind", ["hrnn", "chrnn"])
@@ -360,7 +364,7 @@ class TestDroppedRows:
             if i < 2:
                 assert chunk is whole and logits.shape[0] == 2
                 continue
-            assert chunk.utt_ids == ("u0",) and logits.shape[0] == 1
+            assert chunk.mask.shape[0] == logits.shape[0] == 1
             np.testing.assert_array_equal(chunk.inputs, whole.inputs[:1])
             np.testing.assert_array_equal(chunk.mask, whole.mask[:1])
             np.testing.assert_array_equal(chunk.conditions, whole.conditions[:1])
