@@ -48,6 +48,8 @@ def cmd_train(args) -> int:
     text, run_cfg = read_run_config(args.config)
     if run_cfg.train_manifest is None or run_cfg.valid_manifest is None:
         raise data.DataError("config must set data.train_manifest and data.valid_manifest")
+    if not Path(args.out).parent.is_dir():  # before training, not after its last epoch
+        raise data.DataError(f"--out {args.out}: no directory {Path(args.out).parent}")
     train_manifest = data.load_manifest(run_cfg.train_manifest, split="train")
     valid_manifest = data.load_manifest(run_cfg.valid_manifest, split="valid")
     train_pairs = data.load_pairs(train_manifest, run_cfg.model_cfg)
@@ -107,6 +109,8 @@ def cmd_eval(args) -> int:
 
     ref_map = _wav_map(args.ref)
     deg_map = _wav_map(args.deg)
+    if "mean" in ref_map:
+        raise data.DataError(f"{args.ref}: utterance id 'mean' is reserved for the report's mean row")
     missing = sorted(set(ref_map) - set(deg_map))
     extra = sorted(set(deg_map) - set(ref_map))
     if missing or extra:

@@ -7,6 +7,7 @@ trained.
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 from .data import read_utf8
@@ -63,7 +64,8 @@ def parse_config_text(text: str) -> dict:
     """Parse into {(section, key): string value}; validation only here."""
     values: dict[tuple[str, str], str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a `#` starts a comment at the line's start or after whitespace, so /data/run#3/ keeps it
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

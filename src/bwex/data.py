@@ -4,9 +4,9 @@ Wideband recordings become (input, target) level sequences per the
 mapping strategy: the input is always the mu-law encoding of the
 upsampled narrowband signal, the target is either the wideband waveform
 itself ("wb") or the amplified high-frequency residual ("hf"). Batching
-pads each mini-batch to a shared length with a loss mask, and TBPTT
-chunking slices the time axis while recurrent state carries across
-chunk boundaries.
+pads each mini-batch to a shared length with a loss mask. The TBPTT
+chunk rule, `tbptt_chunks`, lives in `models` and is imported here under
+its former name.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dsp
 from .dsp import ConditionTrack, QuantizedWaveform, Waveform
-from .models import ModelConfig, PaddedBatch
+from .models import ModelConfig, PaddedBatch, tbptt_chunks  # noqa: F401 (tbptt_chunks re-exported)
 
 
 class DataError(ValueError):
@@ -331,23 +331,3 @@ def batch_iter(pairs, batch_size: int, seed: int, model_cfg: ModelConfig):
     for start in range(0, len(pairs), batch_size):
         chunk = [pairs[i] for i in order[start : start + batch_size]]
         yield make_batch(chunk, model_cfg)
-
-
-# ---------------------------------------------------------------------------
-# TBPTT chunking
-# ---------------------------------------------------------------------------
-
-def tbptt_chunks(batch: PaddedBatch, chunk_len: int, model_cfg: ModelConfig):
-    """Split a batch along time into gradient-truncation chunks (PaddedBatch views).
-
-    chunk_len is rounded up to a whole number of top-tier frames; each
-    chunk's input slice carries its own lookahead tail (overlapping the
-    next chunk), so chunked forwards see exactly what one full forward
-    would.
-    """
-    if chunk_len < 1:
-        raise DataError("chunk_len must be >= 1")
-    multiple = model_cfg.time_multiple
-    chunk_len = -(-chunk_len // multiple) * multiple
-    edges = list(range(0, batch.n_steps, chunk_len)) + [batch.n_steps]
-    return [batch.window(start, stop, model_cfg) for start, stop in zip(edges, edges[1:])]

@@ -5,7 +5,9 @@ corpus report emission (text table + CSV).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -228,11 +230,12 @@ def format_report_text(report: MetricsReport) -> str:
 
 
 def format_report_csv(report: MetricsReport) -> str:
-    def cell(value):
-        return "n/a" if value is None else f"{value:.6f}"
+    def cells(values):
+        return ["n/a" if values[k] is None else f"{values[k]:.6f}" for k in _METRIC_KEYS]
 
-    lines = [CSV_HEADER]
-    for row in report.rows:
-        lines.append(row.utt_id + "," + ",".join(cell(row.values[k]) for k in _METRIC_KEYS))
-    lines.append("mean," + ",".join(cell(report.means[k]) for k in _METRIC_KEYS))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows([row.utt_id, *cells(row.values)] for row in report.rows)
+    writer.writerow(["mean", *cells(report.means)])
+    return out.getvalue()

@@ -32,7 +32,9 @@ from . import nn
 from .dsp import MFCC_TRACK, ConditionTrack, QuantizedWaveform, decode_levels
 
 PAD_LEVEL = 128  # mu-law level of zero amplitude
-GENERATE_CHUNK = 2048  # output samples per forward pass of `generate` (128 ms)
+# Output samples per forward of `generate` and `validate` (128 ms), rounded up
+# to whole top-tier frames by `tbptt_chunks`, the one chunk rule.
+GENERATE_CHUNK = 2048
 SRNN_LSTM_LAYERS = 2  # recurrent depth of the sample-level model
 
 
@@ -271,16 +273,27 @@ class PaddedBatch:
                 frames[i, :wanted] = align_condition_frames(conditions[i].frames, wanted)
         return cls(padded, padded_targets, mask, frames)
 
-    def window(self, start: int, stop: int, cfg: ModelConfig) -> "PaddedBatch":
-        """The view of output steps start..stop, whole top-tier frames of
-        cfg, with the lookahead tail that a forward over it reads."""
-        multiple = cfg.time_multiple
-        return PaddedBatch(
-            inputs=self.inputs[:, start : stop + cfg.lookahead],
-            targets=None if self.targets is None else self.targets[:, start:stop],
-            mask=self.mask[:, start:stop],
-            conditions=None if self.conditions is None else self.conditions[:, start // multiple : stop // multiple],
-        )
+
+def tbptt_chunks(batch: PaddedBatch, chunk_len: int, cfg: ModelConfig) -> list[PaddedBatch]:
+    """The one chunk rule, for `generate`, `validate` and training: `batch`
+    cut along time into views of chunk_len output steps rounded up to whole
+    top-tier frames of cfg, the last one shorter. Each view's inputs carry the
+    lookahead tail a forward over it reads, so chunked forwards see exactly
+    what one full forward would."""
+    if chunk_len < 1:
+        raise ValueError("chunk_len must be >= 1")
+    multiple = cfg.time_multiple
+    chunk_len = -(-chunk_len // multiple) * multiple
+    chunks = []
+    for start in range(0, batch.n_steps, chunk_len):
+        stop = start + chunk_len  # past the end for a shorter last chunk; the slices clamp it
+        chunks.append(PaddedBatch(
+            inputs=batch.inputs[:, start : stop + cfg.lookahead],
+            targets=None if batch.targets is None else batch.targets[:, start:stop],
+            mask=batch.mask[:, start:stop],
+            conditions=None if batch.conditions is None else batch.conditions[:, start // multiple : stop // multiple],
+        ))
+    return chunks
 
 
 def _frame_inputs(x: np.ndarray, frame_size: int, n_concat: int, n_steps: int) -> np.ndarray:
@@ -649,7 +662,7 @@ def build_model(cfg: ModelConfig, rng=None, dtype=np.float32, params: dict | Non
 
 def forward_chunks(model, chunks, cache: bool = True):
     """Yield (chunk, n_valid, logits, cache) per chunk of `chunks`, the list of
-    consecutive `PaddedBatch.window`s of one batch, carrying every LSTM state
+    `tbptt_chunks` of one batch, carrying every LSTM state
     into the next; each forward runs on demand, after any update to the one before.
 
     A row whose mask has ended before a chunk leaves the walk there: the
@@ -686,20 +699,16 @@ def forward_chunks(model, chunks, cache: bool = True):
 def generate(model, x: QuantizedWaveform, conditions: ConditionTrack | None = None) -> QuantizedWaveform:
     """Map input levels to output levels by argmax decoding.
 
-    The padded output region is split into near-equal chunks of whole
-    top-tier frames, each at most GENERATE_CHUNK samples unless a single
-    frame is longer, and `forward_chunks` walks them uncached: the levels
-    equal those of one forward over the whole utterance, and memory does
-    not grow with its length. Ties resolve to the lowest level; the output
-    is truncated back to the input's length. Purely deterministic.
+    The padded utterance is cut by the one chunk rule, `tbptt_chunks` at
+    GENERATE_CHUNK samples, as `validate` cuts its batches, and
+    `forward_chunks` walks the windows uncached: the levels equal those of
+    one forward over the whole utterance, and memory does not grow with its
+    length. Ties resolve to the lowest level; the output is truncated back
+    to the input's length. Purely deterministic.
     """
     cfg = model.cfg
     whole = PaddedBatch.pad([x.levels], cfg, conditions=None if conditions is None else [conditions])
-    multiple = cfg.time_multiple
-    n_frames = whole.n_steps // multiple
-    n_chunks = -(-n_frames // max(1, GENERATE_CHUNK // multiple))
-    edges = [n_frames * i // n_chunks * multiple for i in range(n_chunks + 1)]
-    windows = [whole.window(a, b, cfg) for a, b in zip(edges, edges[1:])]
+    windows = tbptt_chunks(whole, GENERATE_CHUNK, cfg)
     levels = np.empty(whole.n_steps, dtype=np.int32)
     stop = 0
     for chunk, _, logits, _ in forward_chunks(model, windows, cache=False):

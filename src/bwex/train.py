@@ -15,8 +15,8 @@ import struct
 import numpy as np
 
 from . import nn
-from .data import _atomic_write, batch_iter, make_batch, tbptt_chunks
-from .models import GENERATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks
+from .data import _atomic_write, batch_iter, make_batch
+from .models import GENERATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks, tbptt_chunks
 
 
 class NumericError(RuntimeError):
@@ -158,9 +158,9 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
 def validate(model, pairs, batch_size: int = 8):
     """Mean masked CE and argmax accuracy (%); mutates nothing.
 
-    Each batch walks its chunks of at most GENERATE_CHUNK samples
-    uncached on `forward_chunks`, as `generate` does, so memory does not
-    grow with utterance length.
+    Each batch walks the windows `tbptt_chunks` cuts at GENERATE_CHUNK
+    samples uncached on `forward_chunks`, as `generate` does, so memory
+    does not grow with utterance length.
     """
     total_ce, total_hits, count = 0.0, 0, 0
     pairs = list(pairs)

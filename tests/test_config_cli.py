@@ -1,6 +1,7 @@
 """Config-text parsing/serialization and the command-line contract
 (subcommands, exit codes, deterministic outputs)."""
 
+import csv
 import dataclasses
 import os
 import struct
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import bwex
+import bwex.train
 from bwex import dsp
 from bwex.cli import main
 from bwex.config import ConfigError, build_run_config, parse_config_text, serialize_config
@@ -74,6 +76,19 @@ class TestConfigText:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key model.hidden"):
             parse_config_text("model.hidden = 8\nmodel.hidden = 9")
+
+    def test_a_hash_inside_a_value_is_not_a_comment(self):
+        train_cfg = TrainConfig(model=HrnnConfig.build(hidden=8, embed_dim=4))
+        train, valid = Path("/data/run#3/train.tsv"), Path("/data/run#3/valid#b.tsv")
+        back = build_run_config(serialize_config(train_cfg, train, valid))
+        assert (back.train_manifest, back.valid_manifest) == (train, valid)
+        assert back.train_cfg == train_cfg
+
+    def test_a_hash_at_line_start_or_after_whitespace_starts_a_comment(self):
+        text = "# header\n  # indented\nmodel.hidden = 8 # space\nmodel.embed_dim = 4\t# tab\nmodel.strategy = wb#x\n"
+        assert parse_config_text(text) == {
+            ("model", "hidden"): "8", ("model", "embed_dim"): "4", ("model", "strategy"): "wb#x"
+        }
 
     def test_meta_lines_allowed(self):
         assert parse_config_text("meta.epoch = 3") == {}
@@ -296,6 +311,18 @@ class TestCliTrain:
         assert err == f"data error: {manifest}: no utterances\n"
         assert not out.exists()
 
+    def test_missing_out_directory_is_a_data_error_before_training(self, toy_corpus, capsys, monkeypatch):
+        tmp_path, config, _ = toy_corpus
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran")
+
+        monkeypatch.setattr(bwex.train, "train", no_training)
+        out = tmp_path / "missing" / "m.bweh"
+        err = assert_data_error(capsys, ["train", "--config", str(config), "--out", str(out)])
+        assert err == f"data error: --out {out}: no directory {out.parent}\n"
+        assert not out.parent.exists()
+
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "dup.cfg"
         config.write_text("model.hidden = 8\nmodel.hidden = 9\n")
@@ -387,6 +414,28 @@ class TestCliExtendAndEval:
         assert float(first[1]) == 100.0  # accuracy
         assert float(first[2]) == 120.0  # snr capped
         assert float(first[5]) == 0.0  # lsd
+
+    def test_eval_quotes_an_id_holding_a_comma(self, tmp_path, capsys):
+        ref_dir = tmp_path / "ref"
+        ref_dir.mkdir()
+        for name in ("a,b", "c"):
+            save_wav(ref_dir / f"{name}.wav", synth_wideband(9000))
+        report = tmp_path / "r.csv"
+        assert main(["eval", "--ref", str(ref_dir), "--deg", str(ref_dir), "--report", str(report)]) == 0
+        with open(report, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [8, 8, 8, 8]
+        assert [row[0] for row in rows] == ["id", "a,b", "c", "mean"]
+
+    def test_eval_utterance_id_mean_is_a_data_error(self, tmp_path, capsys):
+        ref_dir = tmp_path / "ref"
+        ref_dir.mkdir()
+        for name in ("mean", "u"):
+            save_wav(ref_dir / f"{name}.wav", synth_wideband(9000))
+        report = tmp_path / "r.csv"
+        err = assert_data_error(capsys, ["eval", "--ref", str(ref_dir), "--deg", str(ref_dir), "--report", str(report)])
+        assert "'mean' is reserved" in err
+        assert not report.exists()
 
     def test_eval_id_mismatch_listed(self, tmp_path, capsys):
         ref_dir = tmp_path / "ref"

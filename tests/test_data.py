@@ -8,7 +8,7 @@ import wave
 import numpy as np
 import pytest
 
-from bwex import nn
+from bwex import models, nn
 from bwex.dsp import ConditionTrack, QuantizedWaveform, Waveform, decode_levels
 from bwex.models import Hrnn, HrnnConfig, SrnnConfig
 from bwex.data import (
@@ -281,6 +281,9 @@ class TestBatching:
 
 
 class TestTbptt:
+    def test_data_keeps_the_name_of_the_models_rule(self):
+        assert tbptt_chunks is models.tbptt_chunks
+
     def test_chunks_are_padded_batches_of_the_batch(self):
         cfg = tiny_cfg()
         pairs = [build_pair(synth_wideband(n, seed=n), utt_id=f"u{n}") for n in (1000, 300, 520)]

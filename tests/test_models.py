@@ -23,6 +23,7 @@ from bwex.models import (
     conditioning_fanout,
     generate,
     max_latency_ms,
+    tbptt_chunks,
 )
 
 
@@ -579,9 +580,13 @@ class TestChunkedGenerate:
             np.testing.assert_array_equal(out_state[key][0], h)
             np.testing.assert_array_equal(out_state[key][1], c)
 
-    def test_chunks_are_whole_frames_within_the_chunk_length(self, monkeypatch):
-        model = _inference_model("conditional", np.float32)
-        q, conditions = _inference_inputs("conditional", 20000)
+    @pytest.mark.parametrize("kind, window", [("hrnn", 2048), ("conditional", 2080)])
+    def test_windows_are_the_chunk_rule(self, monkeypatch, kind, window):
+        """`generate` forwards the windows `validate` and training cut: whole
+        top-tier frames (16 or 160 samples) of at least GENERATE_CHUNK, the
+        last one shorter."""
+        model = _inference_model(kind, np.float32)
+        q, conditions = _inference_inputs(kind, 20000)
         lengths = []
         forward = model.forward
 
@@ -591,9 +596,10 @@ class TestChunkedGenerate:
 
         monkeypatch.setattr(model, "forward", spy)
         generate(model, q, conditions)
-        assert sum(lengths) == -(-20000 // 160) * 160
-        assert all(length % 160 == 0 and length <= GENERATE_CHUNK for length in lengths)
-        assert max(lengths) - min(lengths) <= 160
+        whole = PaddedBatch.pad([q.levels], model.cfg, conditions=None if conditions is None else [conditions])
+        assert lengths == [w.n_steps for w in tbptt_chunks(whole, GENERATE_CHUNK, model.cfg)]
+        assert lengths[:-1] == [window] * (len(lengths) - 1)
+        assert 0 < lengths[-1] < window and sum(lengths) == 20000
 
     def test_peak_memory_is_flat_in_utterance_length(self):
         model = _inference_model("hrnn", np.float32)
