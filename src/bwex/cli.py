@@ -48,8 +48,7 @@ def cmd_train(args) -> int:
     text, run_cfg = read_run_config(args.config)
     if run_cfg.train_manifest is None or run_cfg.valid_manifest is None:
         raise data.DataError("config must set data.train_manifest and data.valid_manifest")
-    if not Path(args.out).parent.is_dir():  # before training, not after its last epoch
-        raise data.DataError(f"--out {args.out}: no directory {Path(args.out).parent}")
+    data.check_out_path(args.out, f"--out {args.out}")  # before training, not after its last epoch
     train_manifest = data.load_manifest(run_cfg.train_manifest, split="train")
     valid_manifest = data.load_manifest(run_cfg.valid_manifest, split="valid")
     train_pairs = data.load_pairs(train_manifest, run_cfg.model_cfg)

@@ -158,7 +158,12 @@ def read_run_config(path) -> tuple[str, RunConfig]:
 
 
 def serialize_config(train_cfg: TrainConfig, train_manifest=None, valid_manifest=None) -> str:
-    """Emit config text that build_run_config parses back equivalently."""
+    """Emit config text that build_run_config parses back equivalently.
+
+    Config text has no quoting, so a value whose line would read back as
+    another value (a ` #` that starts a comment, spaces at either end, a
+    line break) raises ConfigError naming its key.
+    """
     model = train_cfg.model
     lines = []
     if isinstance(model, SrnnConfig):
@@ -179,6 +184,14 @@ def serialize_config(train_cfg: TrainConfig, train_manifest=None, valid_manifest
         lines.append(f"data.train_manifest = {train_manifest}")
     if valid_manifest is not None:
         lines.append(f"data.valid_manifest = {valid_manifest}")
+    for line in lines:
+        name, _, value = line.partition(" = ")
+        try:
+            back = parse_config_text(line)
+        except ConfigError:
+            back = None
+        if back != {tuple(name.split(".", 1)): value}:
+            raise ConfigError(f"{name}: {value!r} would not read back from config text")
     return "\n".join(lines) + "\n"
 
 

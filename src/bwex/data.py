@@ -12,6 +12,7 @@ its former name.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import struct
 import tempfile
@@ -62,30 +63,107 @@ def load_wav(path) -> Waveform:
 
 
 def save_wav(path, w: Waveform):
-    """Write mono 16-bit PCM atomically (temp file + rename)."""
+    """Write mono 16-bit PCM atomically (temp file + rename); samples are
+    clipped to the int16 range. NaN samples, or a rate whose byte rate
+    overflows the header's u32, raise DataError."""
+    if np.isnan(w.samples).any():
+        raise DataError(f"{path}: cannot write NaN samples")
+    if 2 * w.sample_rate_hz > 0xFFFFFFFF:
+        raise DataError(f"{path}: a WAV header cannot hold a rate of {w.sample_rate_hz} Hz")
     pcm = np.clip(np.rint(w.samples * _PCM_SCALE), -32768, 32767).astype("<i2")
-    _atomic_write(path, lambda handle: _write_wav_handle(handle, pcm, w.sample_rate_hz))
+
+    def write(handle):
+        with wave.open(handle, "wb") as writer:
+            writer.setnchannels(1)
+            writer.setsampwidth(2)
+            writer.setframerate(w.sample_rate_hz)
+            writer.writeframes(pcm.tobytes())
+
+    _atomic_write(path, write)
 
 
-def _write_wav_handle(handle, pcm, rate):
-    with wave.open(handle, "wb") as writer:
-        writer.setnchannels(1)
-        writer.setsampwidth(2)
-        writer.setframerate(rate)
-        writer.writeframes(pcm.tobytes())
+def check_out_path(path, name):
+    """Raise DataError naming `name` unless `path` can take a new file."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise DataError(f"{name}: no directory {path.parent}")
+    if path.is_dir():
+        raise DataError(f"{name}: is a directory")
 
 
 def _atomic_write(path, write_fn):
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
+    """The one way bwex writes a file. `write_fn(handle)` fills a temp file
+    beside `path`, which then replaces `path`, so no reader sees a partial
+    file. A path `check_out_path` refuses raises first. The file gets the
+    mode `open` gives a new file, 0o666 less the umask (`mkstemp` makes it
+    0o600)."""
+    check_out_path(path, path)
+    fd, tmp_name = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            umask = os.umask(0)  # read it the only way there is: set and restore
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             write_fn(handle)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+class _Reader:
+    """Sequential reads from a binary file, used as a context manager.
+
+    Every read is checked against the bytes the file has left before it
+    happens, so a truncated file, or dims that claim more data than the
+    file holds, raise `error` before anything is allocated. Bytes left
+    over when the block ends raise it too.
+    """
+
+    def __init__(self, path, error):
+        self.path, self.error = path, error
+        self.handle = open(path, "rb")
+        self.remaining = os.fstat(self.handle.fileno()).st_size
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        self.handle.close()
+        if exc_type is None and self.remaining:
+            raise self.error(f"{self.path}: {self.remaining} trailing bytes")
+
+    def _claim(self, n: int):
+        if n > self.remaining:
+            raise self.error(f"{self.path}: truncated file, {n} bytes claimed with {self.remaining} left")
+        self.remaining -= n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.handle.read(n)
+        if len(out) != n:
+            raise self.error(f"{self.path}: truncated file")
+        return out
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def text(self) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{self.path}: invalid UTF-8 text ({exc.reason})") from exc
+
+    def tensor(self, dims) -> np.ndarray:
+        """Read float32 data straight into a fresh array of shape dims."""
+        self._claim(4 * math.prod(dims))
+        out = np.empty(dims, dtype="<f4")
+        if self.handle.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise self.error(f"{self.path}: truncated file")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -101,33 +179,31 @@ _FEATURE_VERSION = 1
 
 
 def save_features(path, track: ConditionTrack):
+    """Write `track` in the format above; a frame shift or shape past u32
+    raises DataError."""
+    try:
+        header = struct.pack("<IIII", _FEATURE_VERSION, track.dim, track.frame_shift_samples, track.n_frames)
+    except struct.error as exc:
+        raise DataError(f"{path}: track does not fit the u32 header fields ({exc})") from exc
+
     def write(handle):
         handle.write(_FEATURE_MAGIC)
-        handle.write(
-            struct.pack(
-                "<IIII", _FEATURE_VERSION, track.dim, track.frame_shift_samples, track.n_frames
-            )
-        )
+        handle.write(header)
         handle.write(np.ascontiguousarray(track.frames, dtype="<f4").tobytes())
 
     _atomic_write(path, write)
 
 
 def load_features(path) -> ConditionTrack:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob[:4] != _FEATURE_MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {_FEATURE_MAGIC!r}")
-    if len(blob) < 20:
-        raise DataError(f"{path}: truncated header")
-    version, dim, frame_shift, n_frames = struct.unpack("<IIII", blob[4:20])
-    if version != _FEATURE_VERSION:
-        raise DataError(f"{path}: unsupported feature file version {version}")
-    expected = 20 + 4 * dim * n_frames
-    if len(blob) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    frames = np.frombuffer(blob[20:], dtype="<f4").reshape(n_frames, dim)
-    return ConditionTrack(frames.copy(), frame_shift)
+    with _Reader(path, DataError) as reader:
+        magic = reader.take(4)
+        if magic != _FEATURE_MAGIC:
+            raise DataError(f"{path}: bad magic {magic!r}, expected {_FEATURE_MAGIC!r}")
+        version, dim, frame_shift, n_frames = struct.unpack("<IIII", reader.take(16))
+        if version != _FEATURE_VERSION:
+            raise DataError(f"{path}: unsupported feature file version {version}")
+        frames = reader.tensor((n_frames, dim))
+    return ConditionTrack(frames, frame_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +249,14 @@ def load_manifest(path, split: str = "train") -> CorpusManifest:
         if utt_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
-        wav_path = _resolve(base, fields[1])
-        feature_path = _resolve(base, fields[2]) if len(fields) == 3 else None
+        wav_path = base / fields[1]  # an absolute field replaces base
+        feature_path = base / fields[2] if len(fields) == 3 else None
         if not wav_path.exists():
             raise DataError(f"{path}:{lineno}: missing wav file {wav_path}")
         entries.append(ManifestEntry(utt_id, wav_path, feature_path))
     if not entries:
         raise DataError(f"{path}: no utterances")
     return CorpusManifest(tuple(entries), split)
-
-
-def _resolve(base: Path, field: str) -> Path:
-    p = Path(field)
-    return p if p.is_absolute() else base / p
 
 
 # ---------------------------------------------------------------------------

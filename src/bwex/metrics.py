@@ -235,7 +235,11 @@ def format_report_csv(report: MetricsReport) -> str:
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # The writer quotes a field holding its line terminator, but not a lone
+    # \r, which csv.reader takes for a line end; such a row is quoted whole.
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER.split(","))
-    writer.writerows([row.utt_id, *cells(row.values)] for row in report.rows)
+    for row in report.rows:
+        (quoted if "\r" in row.utt_id else writer).writerow([row.utt_id, *cells(row.values)])
     writer.writerow(["mean", *cells(report.means)])
     return out.getvalue()

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import struct
 
 import numpy as np
 
 from . import nn
-from .data import _atomic_write, batch_iter, make_batch
+from .data import _atomic_write, _Reader, batch_iter, make_batch
 from .models import GENERATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks, tbptt_chunks
 
 
@@ -192,9 +191,17 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
+    """Write `ckpt` in the format above. A tensor of rank other than 1-3
+    or with a dim past u32, or metadata that would not read back as
+    `str(value)` under its key, raises CheckpointError."""
     blob = ckpt.config_text
     for key, value in sorted(ckpt.metadata.items()):
         blob += f"\nmeta.{key} = {value}"
+    written = _split_blob(blob)[1]
+    expected = {key: str(value) for key, value in ckpt.metadata.items()}
+    for key in sorted(written.keys() | expected.keys()):
+        if written.get(key) != expected.get(key):
+            raise CheckpointError(f"metadata {key!r} would not read back from a checkpoint")
 
     def write(handle):
         handle.write(_CKPT_MAGIC)
@@ -204,9 +211,11 @@ def save_checkpoint(path, ckpt: Checkpoint):
         handle.write(encoded)
         handle.write(struct.pack("<I", len(ckpt.params)))
         for name, tensor in ckpt.params.items():
-            tensor = np.ascontiguousarray(tensor, dtype="<f4")
+            tensor = np.asarray(tensor, dtype="<f4", order="C")  # ascontiguousarray makes rank 0 rank 1
             if tensor.ndim < 1 or tensor.ndim > 3:
                 raise CheckpointError(f"tensor {name!r} has unsupported rank {tensor.ndim}")
+            if max(tensor.shape) > 0xFFFFFFFF:
+                raise CheckpointError(f"tensor {name!r} has a dim past u32: {tensor.shape}")
             encoded_name = name.encode("utf-8")
             handle.write(struct.pack("<I", len(encoded_name)))
             handle.write(encoded_name)
@@ -217,58 +226,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
     _atomic_write(path, write)
 
 
-class _Reader:
-    """Sequential reads from an open checkpoint file.
-
-    Every read is checked against the bytes the file has left before it
-    happens, so a truncated file, or dims that claim more data than the
-    file holds, raise before anything is allocated.
-    """
-
-    def __init__(self, handle, path):
-        self.handle = handle
-        self.path = path
-        self.remaining = os.fstat(handle.fileno()).st_size
-
-    def _claim(self, n: int):
-        if n > self.remaining:
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        self.remaining -= n
-
-    def take(self, n: int) -> bytes:
-        self._claim(n)
-        out = self.handle.read(n)
-        if len(out) != n:
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def text(self) -> str:
-        """A u32-length-prefixed UTF-8 string."""
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{self.path}: invalid UTF-8 text ({exc.reason})") from exc
-
-    def tensor(self, dims) -> np.ndarray:
-        """Read float32 data straight into a fresh array of shape dims."""
-        self._claim(4 * math.prod(dims))
-        out = np.empty(dims, dtype="<f4")
-        view = memoryview(out).cast("B")
-        if self.handle.readinto(view) != len(view):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        return out
-
-
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as handle:
-        reader = _Reader(handle, path)
+    with _Reader(path, CheckpointError) as reader:
         if reader.take(4) != _CKPT_MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
         version = reader.u32()
@@ -278,15 +237,20 @@ def load_checkpoint(path) -> Checkpoint:
         params: dict[str, np.ndarray] = {}
         for _ in range(reader.u32()):
             name = reader.text()
-            rank = reader.u8()
+            rank = reader.take(1)[0]
             if rank < 1 or rank > 3:
                 raise CheckpointError(f"{path}: tensor {name!r} has unsupported rank {rank}")
             dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
             if name in params:
                 raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
             params[name] = reader.tensor(dims)
-        if reader.remaining:
-            raise CheckpointError(f"{path}: {reader.remaining} trailing bytes")
+    config_text, metadata = _split_blob(blob)
+    return Checkpoint(config_text=config_text, params=params, metadata=metadata)
+
+
+def _split_blob(blob: str):
+    """(config text, metadata) of a checkpoint's text blob: `meta.key =
+    value` lines are metadata, every other line is config text."""
     config_lines, metadata = [], {}
     for line in blob.splitlines():
         stripped = line.strip()
@@ -295,8 +259,4 @@ def load_checkpoint(path) -> Checkpoint:
             metadata[key.strip()[len("meta.") :]] = value.strip()
         else:
             config_lines.append(line)
-    return Checkpoint(
-        config_text="\n".join(config_lines).strip("\n"),
-        params=params,
-        metadata=metadata,
-    )
+    return "\n".join(config_lines).strip("\n"), metadata

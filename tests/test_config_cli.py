@@ -323,6 +323,16 @@ class TestCliTrain:
         assert err == f"data error: --out {out}: no directory {out.parent}\n"
         assert not out.parent.exists()
 
+    def test_a_directory_out_is_a_data_error_before_training(self, toy_corpus, capsys, monkeypatch):
+        tmp_path, config, _ = toy_corpus
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran")
+
+        monkeypatch.setattr(bwex.train, "train", no_training)
+        err = assert_data_error(capsys, ["train", "--config", str(config), "--out", str(tmp_path)])
+        assert err == f"data error: --out {tmp_path}: is a directory\n"
+
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "dup.cfg"
         config.write_text("model.hidden = 8\nmodel.hidden = 9\n")
@@ -580,6 +590,27 @@ class TestCliDataErrors:
         out = tmp_path / "f.bwef"
         assert_data_error(capsys, ["features", "--in", str(tmp_path / "short.wav"), "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", ["extend", "eval", "features"])
+    def test_an_output_path_that_cannot_take_a_file_is_named(self, tmp_path, capsys, command, target):
+        save_wav(tmp_path / "nb.wav", synth_narrowband(4000))
+        out = tmp_path / "taken" if target == "directory" else tmp_path / "missing" / "o"
+        (tmp_path / "taken").mkdir()
+        if command == "extend":
+            ckpt = tiny_checkpoint(tmp_path / "m.bweh")
+            argv = ["extend", "--model", str(ckpt), "--in", str(tmp_path / "nb.wav"), "--out", str(out)]
+        elif command == "eval":
+            for side in ("ref", "deg"):
+                (tmp_path / side).mkdir()
+                save_wav(tmp_path / side / "a.wav", synth_wideband(2000))
+            argv = ["eval", "--ref", str(tmp_path / "ref"), "--deg", str(tmp_path / "deg"), "--report", str(out)]
+        else:
+            argv = ["features", "--in", str(tmp_path / "nb.wav"), "--out", str(out)]
+        err = assert_data_error(capsys, argv)
+        reason = "is a directory" if target == "directory" else f"no directory {out.parent}"
+        assert err == f"data error: {out}: {reason}\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_unreadable_path(self, tmp_path, capsys):
         save_wav(tmp_path / "nb.wav", synth_narrowband(400))

@@ -1,13 +1,19 @@
 """Data-path tests: WAV and feature file formats, manifests, pair
 construction, batching, and TBPTT chunk/state-carry correctness."""
 
+import ast
 import dataclasses
+import os
+import re
+import stat
 import struct
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bwex
 from bwex import models, nn
 from bwex.dsp import ConditionTrack, QuantizedWaveform, Waveform, decode_levels
 from bwex.models import Hrnn, HrnnConfig, SrnnConfig
@@ -27,6 +33,7 @@ from bwex.data import (
     save_wav,
     tbptt_chunks,
 )
+from bwex.train import Checkpoint, save_checkpoint
 
 
 def synth_wideband(n=600, seed=0, rate=16000):
@@ -112,6 +119,13 @@ class TestFeatureIo:
         save_features(path, track)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(DataError, match="bytes"):
+            load_features(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "x.bwef"
+        save_features(path, ConditionTrack(np.ones((2, 3), np.float32), 80))
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        with pytest.raises(DataError, match="3 trailing bytes"):
             load_features(path)
 
     def test_bad_version(self, tmp_path):
@@ -372,3 +386,111 @@ class TestLoadPairs:
         np.testing.assert_array_equal(pairs_mfcc[1].conditions.frames, narrowband_mfcc(pairs_mfcc[1].narrowband).frames)
         with pytest.raises(DataError, match="u1: the conditional tier needs a feature file"):
             load_pairs(manifest, dataclasses.replace(chrnn, cond_source="file"))
+
+
+# ---------------------------------------------------------------------------
+# The write contract: one writer, and the mode `open` gives
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "opened").open("wb").close()
+        save_wav(tmp_path / "a.wav", Waveform(np.zeros(4), 8000))
+        save_features(tmp_path / "f.bwef", ConditionTrack(np.zeros((2, 3)), 160))
+        save_checkpoint(tmp_path / "m.bweh", Checkpoint(config_text="", params={"w": np.zeros(2)}))
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["opened", "a.wav", "f.bwef", "m.bweh"], 0o666 & ~umask)
+
+
+# (file, enclosing function, call) of every call in the package that makes,
+# opens for writing or moves a file. `save_wav.write`'s `wave.open` wraps
+# the handle `_atomic_write` passes it and opens no file.
+WRITE_SITES = {
+    ("data.py", "_atomic_write", "tempfile.mkstemp"),
+    ("data.py", "_atomic_write", "os.fdopen"),
+    ("data.py", "_atomic_write", "os.replace"),
+    ("data.py", "save_wav.write", "wave.open"),
+}
+
+
+def write_sites(source: str) -> set:
+    """(enclosing function, call) of every file write in source: an `open`
+    or `fdopen` whose literal mode writes, `os.open`, anything from `tempfile`,
+    `os.replace` or `os.rename`, and `write_text` or `write_bytes`. Nested
+    functions are named outer.inner; None is module level."""
+    sites = set()
+
+    def name_of(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return f"{name_of(node.value)}.{node.attr}"
+        return "?"
+
+    def writes(call) -> bool:
+        modes = [*call.args, *(kw.value for kw in call.keywords if kw.arg == "mode")]
+        return any(
+            isinstance(mode, ast.Constant)
+            and isinstance(mode.value, str)
+            and re.fullmatch(r"[rwaxbt+]+", mode.value)
+            and set(mode.value) & set("wax+")
+            for mode in modes
+        )
+
+    def visit(node, function):
+        if isinstance(node, ast.ImportFrom) and node.module in ("tempfile", "os"):
+            sites.update((function, f"{node.module}.{alias.name}") for alias in node.names
+                         if node.module == "tempfile" or alias.name in ("open", "replace", "rename"))
+        if isinstance(node, ast.Call):
+            name = name_of(node.func)
+            last = name.rsplit(".", 1)[-1]
+            if (
+                (last in ("open", "fdopen") and writes(node))
+                or name in ("os.open", "os.replace", "os.rename")
+                or name.startswith("tempfile.")
+                or last in ("write_text", "write_bytes")
+            ):
+                sites.add((function, name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name if function is None else f"{function}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_write_sites_detects_every_form():
+    source = (
+        "def f(p):\n"
+        "    open(p, 'w')\n    open(p, 'rb')\n    open(p, mode='a')\n    p.open('xb')\n"
+        "    def g():\n        tempfile.mkstemp()\n        os.replace(a, b)\n        p.write_text('')\n"
+        "    os.open(p, 1)\n    os.rename(a, b)\n    Path(p).write_bytes(b'')\n    io.open('w.txt')\n"
+        "from tempfile import NamedTemporaryFile\nfrom os import replace, path\n"
+    )
+    assert write_sites(source) == {
+        ("f", "open"),
+        ("f", "p.open"),
+        ("f.g", "tempfile.mkstemp"),
+        ("f.g", "os.replace"),
+        ("f.g", "p.write_text"),
+        ("f", "os.open"),
+        ("f", "os.rename"),
+        ("f", "?.write_bytes"),
+        (None, "tempfile.NamedTemporaryFile"),
+        (None, "os.replace"),
+    }
+
+
+def test_only_the_atomic_writer_writes_files():
+    package = Path(bwex.__file__).parent
+    sites = {
+        (path.name, *site)
+        for path in sorted(package.rglob("*.py"))
+        for site in write_sites(path.read_text(encoding="utf-8"))
+    }
+    assert sites == WRITE_SITES
