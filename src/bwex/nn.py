@@ -10,6 +10,7 @@ checks run the same code in float64.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -217,33 +218,44 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     c_i, f_g, i_g = cell[: 2 * hidden], cell[2 * hidden : 4 * hidden], cell[hidden : 2 * hidden]
     c[...] = c0.T
     tc = np.empty_like(c)
-    if cache:
-        cells = np.empty((batch, steps + 1, 5 * hidden), dtype=x.dtype)
     # Weight on the left and a C-ordered [H, B] hidden operand, split into
     # row blocks under SMALL_GEMM_MNK at B > 1; `dot` writes each block
     # straight into its rows of g, without the np.dot dispatcher or a
-    # result array.
-    products = [(weights[rows], g[rows]) for rows in _row_slices(4 * hidden, batch, hidden)]
+    # result array. A product of one block is one bound `dot` call.
+    slices = _row_slices(4 * hidden, batch, hidden)
+    if len(slices) == 1:
+        recurrent = weights.dot
+    else:
+        blocks = [(weights[rows].dot, g[rows]) for rows in slices]
+
+        def recurrent(h, out):  # out is g, whose row blocks `blocks` holds
+            for dot, g_rows in blocks:
+                dot(h, g_rows)
     # At h=32, B=1 a step is a few µs of small-array calls, so the loop
     # binds the ufuncs locally and passes `out` by position: each saves
-    # about 0.1 µs a call against a module lookup or the `out=` keyword.
-    tanh, multiply = np.tanh, np.multiply
+    # about 0.1 µs a call against a module lookup, an in-place operator or
+    # the `out=` keyword.
+    add, tanh, multiply = np.add, np.tanh, np.multiply
     h_t = np.ascontiguousarray(h0.T, dtype=x.dtype)  # the product must come out in g's dtype
-    # Per step, x_t is a [4H, B] view of x_proj and h_next the [H, B] slot
-    # of the next hidden state.
-    for t, (x_t, h_next) in enumerate(zip(x_proj.transpose(1, 2, 0), h_steps)):
-        for weight_rows, g_rows in products:
-            weight_rows.dot(h_t, g_rows)
-        g += x_t
+    # Per step, x_t is a [4H, B] view of x_proj, h_next the [H, B] slot of
+    # the next hidden state and row the step's [5H, B] view of the cache.
+    if cache:
+        cells = np.empty((batch, steps + 1, 5 * hidden), dtype=x.dtype)
+        rows = cells.transpose(1, 2, 0)
+    else:
+        rows = itertools.repeat(None, steps)
+    for x_t, h_next, row in zip(x_proj.transpose(1, 2, 0), h_steps, rows):
+        recurrent(h_t, g)
+        add(g, x_t, g)
         if not prescaled:
-            g *= scale
+            multiply(g, scale, g)
         tanh(g, g)  # saturates without overflow
-        g *= scale
-        g += shift
+        multiply(g, scale, g)
+        add(g, shift, g)
         if cache:
-            cells[:, t] = cell.T  # before the product overwrites c and i
+            row[...] = cell  # before the product overwrites c and i
         multiply(c_i, f_g, c_i)
-        c += i_g
+        add(c, i_g, c)
         tanh(c, tc)
         h_t = multiply(go, tc, h_next)
     h_seq = np.ascontiguousarray(h_steps.transpose(2, 0, 1))  # no copy at B = 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .data import _atomic_write, _Reader, batch_iter, make_batch
-from .models import GENERATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks, tbptt_chunks
+from .models import VALIDATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks, tbptt_chunks
 
 
 class NumericError(RuntimeError):
@@ -157,15 +157,16 @@ def train(cfg: TrainConfig, train_pairs, valid_pairs, config_text: str = "", log
 def validate(model, pairs, batch_size: int = 8):
     """Mean masked CE and argmax accuracy (%); mutates nothing.
 
-    Each batch walks the windows `tbptt_chunks` cuts at GENERATE_CHUNK
-    samples uncached on `forward_chunks`, as `generate` does, so memory
-    does not grow with utterance length.
+    Each batch walks the windows `tbptt_chunks` cuts at VALIDATE_CHUNK
+    samples (2048, or 2080 at a top-tier frame of 160) uncached on
+    `forward_chunks`, as `generate` walks its own, so memory does not grow
+    with utterance length.
     """
     total_ce, total_hits, count = 0.0, 0, 0
     pairs = list(pairs)
     for start in range(0, len(pairs), batch_size):
         batch = make_batch(pairs[start : start + batch_size], model.cfg)
-        chunks = tbptt_chunks(batch, GENERATE_CHUNK, model.cfg)
+        chunks = tbptt_chunks(batch, VALIDATE_CHUNK, model.cfg)
         for chunk, n_valid, logits, _ in forward_chunks(model, chunks, cache=False):
             flat = logits.reshape(-1, logits.shape[-1])
             targets = chunk.targets.reshape(-1)
@@ -192,8 +193,9 @@ _CKPT_VERSION = 1
 
 def save_checkpoint(path, ckpt: Checkpoint):
     """Write `ckpt` in the format above. A tensor of rank other than 1-3
-    or with a dim past u32, or metadata that would not read back as
-    `str(value)` under its key, raises CheckpointError."""
+    or with a dim past u32, metadata that would not read back as
+    `str(value)` under its key, or text that UTF-8 cannot encode (a lone
+    surrogate) raises CheckpointError before any file is made."""
     blob = ckpt.config_text
     for key, value in sorted(ckpt.metadata.items()):
         blob += f"\nmeta.{key} = {value}"
@@ -202,21 +204,26 @@ def save_checkpoint(path, ckpt: Checkpoint):
     for key in sorted(written.keys() | expected.keys()):
         if written.get(key) != expected.get(key):
             raise CheckpointError(f"metadata {key!r} would not read back from a checkpoint")
+    _utf8(ckpt.config_text, "config text")
+    for key, value in ckpt.metadata.items():
+        _utf8(f"{key} = {value}", f"metadata {key!r}")
+    encoded_blob = blob.encode("utf-8")
+    tensors = []
+    for name, tensor in ckpt.params.items():
+        tensor = np.asarray(tensor, dtype="<f4", order="C")  # ascontiguousarray makes rank 0 rank 1
+        if tensor.ndim < 1 or tensor.ndim > 3:
+            raise CheckpointError(f"tensor {name!r} has unsupported rank {tensor.ndim}")
+        if max(tensor.shape) > 0xFFFFFFFF:
+            raise CheckpointError(f"tensor {name!r} has a dim past u32: {tensor.shape}")
+        tensors.append((_utf8(name, f"tensor name {name!r}"), tensor))
 
     def write(handle):
         handle.write(_CKPT_MAGIC)
         handle.write(struct.pack("<I", _CKPT_VERSION))
-        encoded = blob.encode("utf-8")
-        handle.write(struct.pack("<I", len(encoded)))
-        handle.write(encoded)
-        handle.write(struct.pack("<I", len(ckpt.params)))
-        for name, tensor in ckpt.params.items():
-            tensor = np.asarray(tensor, dtype="<f4", order="C")  # ascontiguousarray makes rank 0 rank 1
-            if tensor.ndim < 1 or tensor.ndim > 3:
-                raise CheckpointError(f"tensor {name!r} has unsupported rank {tensor.ndim}")
-            if max(tensor.shape) > 0xFFFFFFFF:
-                raise CheckpointError(f"tensor {name!r} has a dim past u32: {tensor.shape}")
-            encoded_name = name.encode("utf-8")
+        handle.write(struct.pack("<I", len(encoded_blob)))
+        handle.write(encoded_blob)
+        handle.write(struct.pack("<I", len(tensors)))
+        for encoded_name, tensor in tensors:
             handle.write(struct.pack("<I", len(encoded_name)))
             handle.write(encoded_name)
             handle.write(struct.pack("<B", tensor.ndim))
@@ -224,6 +231,13 @@ def save_checkpoint(path, ckpt: Checkpoint):
             handle.write(tensor.tobytes())
 
     _atomic_write(path, write)
+
+
+def _utf8(text: str, what: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CheckpointError(f"{what} holds {text[exc.start]!r}, which UTF-8 cannot encode") from None
 
 
 def load_checkpoint(path) -> Checkpoint:

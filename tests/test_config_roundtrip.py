@@ -123,12 +123,24 @@ def test_feature_files_read_back_or_are_refused(tmp_path, frames, shift):
     assert back.frames.shape == frames.shape and back.frames.tobytes() == frames.tobytes()
 
 
+# Any code point, lone surrogates included, which UTF-8 cannot encode.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @READ_BACK_SETTINGS
 @given(
     params=st.dictionaries(
-        st.text(max_size=6), arrays(np.float32, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)), max_size=3
+        ANY_TEXT, arrays(np.float32, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)), max_size=3
     ),
-    metadata=st.dictionaries(st.text(max_size=6), st.text(max_size=6) | st.integers() | st.floats(), max_size=3),
+    metadata=st.dictionaries(ANY_TEXT, ANY_TEXT | st.integers() | st.floats(), max_size=3),
 )
 @example(params={"w": np.zeros((0, 3), np.float32)}, metadata={"epoch": 3})
 @example(params={"w": np.array(1.5, np.float32)}, metadata={})
@@ -136,13 +148,18 @@ def test_feature_files_read_back_or_are_refused(tmp_path, frames, shift):
 @example(params={}, metadata={"note": " padded "})
 @example(params={}, metadata={"note": "two\nlines"})
 @example(params={}, metadata={"a=b": 1})
+@example(params={"\udc80": np.zeros(2, np.float32)}, metadata={})
+@example(params={}, metadata={"note": "\udc80"})
 def test_checkpoints_read_back_or_are_refused(tmp_path, params, metadata):
     path = tmp_path / "m.bweh"
-    tensors_fit = all(1 <= tensor.ndim <= 3 and max(tensor.shape) <= 0xFFFFFFFF for tensor in params.values())
+    tensors_fit = all(
+        1 <= tensor.ndim <= 3 and max(tensor.shape) <= 0xFFFFFFFF and _encodes(name) for name, tensor in params.items()
+    )
     try:
         save_checkpoint(path, Checkpoint(config_text="model.kind = srnn", params=params, metadata=metadata))
     except CheckpointError as exc:
         assert not tensors_fit or str(exc).startswith("metadata ")
+        assert not list(tmp_path.glob("*.tmp"))  # tmp_path is shared by every example
         return
     assert tensors_fit
     back = load_checkpoint(path)

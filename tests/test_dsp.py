@@ -100,6 +100,35 @@ class TestMulaw:
         s = decode_levels(np.arange(256))
         assert np.all(np.diff(s) > 0)
 
+    @staticmethod
+    def closed_form(levels):
+        """`decode_levels` before its level table."""
+        return expand_amplitude((levels + 0.5) * 2.0 / 256 - 1.0)
+
+    def test_decode_is_the_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        whole = rng.integers(0, 256, 4099)
+        cases = [np.arange(256), np.arange(256)[::-1], np.zeros(0, np.int64), np.zeros((3, 0), np.int32)]
+        for dtype in (np.uint8, np.int16, np.int32, np.int64, np.uint64):
+            levels = whole.astype(dtype)
+            cases += [levels[:n] for n in (1, 3, 7, 17, 255, 1001)]  # odd lengths
+            cases += [levels[k : k + 1000] for k in (1, 3, 5)]  # offset views
+            cases += [levels[::3], levels[:4096].reshape(4, 1024), levels[:4096].reshape(64, 64)[:, 1::2]]
+        for levels in cases:
+            got, want = decode_levels(levels), self.closed_form(levels)
+            assert got.dtype == np.float64 and got.shape == levels.shape
+            assert got.tobytes() == want.tobytes(), (levels.dtype, levels.shape)
+
+    @pytest.mark.parametrize("levels", [np.array([0.0, 128.0]), np.array([1.5]), np.array([True, False]), np.zeros(0)])
+    def test_decode_refuses_non_integer_levels(self, levels):
+        with pytest.raises(ValueError, match="integers"):
+            decode_levels(levels)
+
+    @pytest.mark.parametrize("levels", [[-1, 3], [256], np.array([[0, 300]])])
+    def test_decode_refuses_levels_out_of_range(self, levels):
+        with pytest.raises(ValueError, match="out of range"):
+            decode_levels(levels)
+
     def test_decode_encode_error_within_bin_width(self):
         rng = np.random.default_rng(7)
         s = rng.uniform(-1.0, 1.0, size=100_000)

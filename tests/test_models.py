@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from bwex import nn
-from bwex.dsp import ConditionTrack, QuantizedWaveform
+from bwex.data import UtterancePair, make_batch
+from bwex.dsp import ConditionTrack, QuantizedWaveform, Waveform
 from bwex.models import (
     GENERATE_CHUNK,
+    VALIDATE_CHUNK,
     FieldError,
     Hrnn,
     HrnnConfig,
@@ -25,6 +27,7 @@ from bwex.models import (
     max_latency_ms,
     tbptt_chunks,
 )
+from bwex.train import validate
 
 
 def tiny_cfg(frame_sizes=(16, 4), n_concat=(2, 2, 4), hidden=8, embed_dim=4, **kw):
@@ -580,13 +583,9 @@ class TestChunkedGenerate:
             np.testing.assert_array_equal(out_state[key][0], h)
             np.testing.assert_array_equal(out_state[key][1], c)
 
-    @pytest.mark.parametrize("kind, window", [("hrnn", 2048), ("conditional", 2080)])
-    def test_windows_are_the_chunk_rule(self, monkeypatch, kind, window):
-        """`generate` forwards the windows `validate` and training cut: whole
-        top-tier frames (16 or 160 samples) of at least GENERATE_CHUNK, the
-        last one shorter."""
-        model = _inference_model(kind, np.float32)
-        q, conditions = _inference_inputs(kind, 20000)
+    @staticmethod
+    def forwarded_lengths(monkeypatch, model):
+        """The output steps of each forward `model` runs from now on."""
         lengths = []
         forward = model.forward
 
@@ -595,9 +594,34 @@ class TestChunkedGenerate:
             return forward(levels, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
+        return lengths
+
+    @pytest.mark.parametrize("kind, window", [("hrnn", 4096), ("conditional", 4160)])
+    def test_windows_are_the_chunk_rule(self, monkeypatch, kind, window):
+        """`generate` forwards the windows the one chunk rule cuts at its own
+        length: whole top-tier frames (16 or 160 samples) of at least
+        GENERATE_CHUNK, the last one shorter."""
+        model = _inference_model(kind, np.float32)
+        q, conditions = _inference_inputs(kind, 20000)
+        lengths = self.forwarded_lengths(monkeypatch, model)
         generate(model, q, conditions)
         whole = PaddedBatch.pad([q.levels], model.cfg, conditions=None if conditions is None else [conditions])
         assert lengths == [w.n_steps for w in tbptt_chunks(whole, GENERATE_CHUNK, model.cfg)]
+        assert lengths[:-1] == [window] * (len(lengths) - 1)
+        assert 0 < lengths[-1] < window and sum(lengths) == 20000
+
+    @pytest.mark.parametrize("kind, window", [("hrnn", 2048), ("conditional", 2080)])
+    def test_validate_windows_are_the_chunk_rule(self, monkeypatch, kind, window):
+        """`validate` forwards the windows the one chunk rule cuts at
+        VALIDATE_CHUNK, whatever `generate`'s window: the `best_valid_ce`
+        that every checkpoint holds depends on them."""
+        model = _inference_model(kind, np.float32)
+        q, conditions = _inference_inputs(kind, 20000)
+        pair = UtterancePair("u", q, q, Waveform(np.zeros(10000), 8000), conditions)
+        lengths = self.forwarded_lengths(monkeypatch, model)
+        validate(model, [pair])
+        whole = make_batch([pair], model.cfg)
+        assert lengths == [w.n_steps for w in tbptt_chunks(whole, VALIDATE_CHUNK, model.cfg)]
         assert lengths[:-1] == [window] * (len(lengths) - 1)
         assert 0 < lengths[-1] < window and sum(lengths) == 20000
 

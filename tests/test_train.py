@@ -520,6 +520,20 @@ class TestCheckpointIo:
         b, _, _ = other.forward(levels)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("where", ["tensor name", "config text", "metadata"])
+    def test_text_utf8_cannot_encode_is_refused_and_leaves_no_file(self, tmp_path, where):
+        ckpt, _ = self.make_checkpoint()
+        lone = "\udc80"  # a lone surrogate
+        if where == "tensor name":
+            ckpt = dataclasses.replace(ckpt, params={**ckpt.params, lone: np.zeros(2, np.float32)})
+        elif where == "config text":
+            ckpt = dataclasses.replace(ckpt, config_text=ckpt.config_text + f"\n# {lone}")
+        else:
+            ckpt = dataclasses.replace(ckpt, metadata={**ckpt.metadata, "note": lone})
+        with pytest.raises(CheckpointError, match=f"^{where} .*UTF-8 cannot encode"):
+            save_checkpoint(tmp_path / "m.bweh", ckpt)
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_magic_rejected(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "c.bweh"
