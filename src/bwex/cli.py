@@ -59,6 +59,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_narrowband(path):
+    """The narrowband WAV at `path`; another rate than 8 kHz, or no
+    samples, is a DataError naming it."""
+    from . import data, dsp
+
+    narrowband = data.load_wav(path)
+    if narrowband.sample_rate_hz != dsp.NARROWBAND_RATE:
+        raise data.DataError(
+            f"{path}: expected {dsp.NARROWBAND_RATE} Hz narrowband input, got {narrowband.sample_rate_hz}"
+        )
+    if len(narrowband) == 0:
+        raise data.DataError(f"{path}: no samples")
+    return narrowband
+
+
 def cmd_extend(args) -> int:
     from . import data, dsp
     from .config import model_from_checkpoint
@@ -68,14 +83,7 @@ def cmd_extend(args) -> int:
 
     ckpt = load_checkpoint(args.model)
     model, run_cfg = model_from_checkpoint(ckpt)
-    narrowband = data.load_wav(args.input)
-    if narrowband.sample_rate_hz != dsp.NARROWBAND_RATE:
-        raise data.DataError(
-            f"{args.input}: expected {dsp.NARROWBAND_RATE} Hz narrowband input,"
-            f" got {narrowband.sample_rate_hz}"
-        )
-    if len(narrowband) == 0:
-        raise data.DataError(f"{args.input}: no samples to extend")
+    narrowband = _load_narrowband(args.input)
     conditions = data.condition_track(run_cfg.model_cfg, narrowband, args.features, args.input)
     upsampled = dsp.upsample2(narrowband)
     generated = generate(model, dsp.mulaw_encode(upsampled), conditions)
@@ -140,17 +148,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_features(args) -> int:
-    from . import data, dsp
+    from . import data
 
-    if args.type != "mfcc":
-        from .config import ConfigError
-
-        raise ConfigError(f"unsupported feature type {args.type!r}")
-    narrowband = data.load_wav(args.input)
-    if narrowband.sample_rate_hz != dsp.NARROWBAND_RATE:
-        raise data.DataError(
-            f"{args.input}: expected {dsp.NARROWBAND_RATE} Hz input, got {narrowband.sample_rate_hz}"
-        )
+    narrowband = _load_narrowband(args.input)
     track = data.narrowband_mfcc(narrowband)
     if track.n_frames == 0:
         raise data.DataError(
@@ -209,10 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="CSV report output path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("features", help="extract condition features from an 8 kHz WAV")
+    p = sub.add_parser("features", help="extract MFCC condition features from an 8 kHz WAV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--type", default="mfcc", help="feature type (mfcc)")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("latency", help="print the model's maximal latency")

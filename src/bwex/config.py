@@ -76,8 +76,6 @@ def parse_config_text(text: str) -> dict:
         if "." not in name:
             raise ConfigError(f"line {lineno}: key {name!r} must be section.key")
         section, _, key = name.partition(".")
-        if section == "meta":
-            continue  # checkpoint metadata lines are not run configuration
         if section not in _CONVERTERS:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
         if key not in _CONVERTERS[section]:

@@ -4,9 +4,7 @@ Wideband recordings become (input, target) level sequences per the
 mapping strategy: the input is always the mu-law encoding of the
 upsampled narrowband signal, the target is either the wideband waveform
 itself ("wb") or the amplified high-frequency residual ("hf"). Batching
-pads each mini-batch to a shared length with a loss mask. The TBPTT
-chunk rule, `tbptt_chunks`, lives in `models` and is imported here under
-its former name.
+pads each mini-batch to a shared length with a loss mask.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import dsp
 from .dsp import ConditionTrack, QuantizedWaveform, Waveform
-from .models import ModelConfig, PaddedBatch, tbptt_chunks  # noqa: F401 (tbptt_chunks re-exported)
+from .models import ModelConfig, PaddedBatch
 
 
 class DataError(ValueError):

@@ -160,7 +160,7 @@ def reconstruct_wideband(
 # ---------------------------------------------------------------------------
 
 _METRIC_KEYS = ("acc", "snr", "snr_v", "snr_u", "lsd", "lsd_v", "lsd_u")
-CSV_HEADER = "id,acc,snr,snr_v,snr_u,lsd,lsd_v,lsd_u"
+CSV_HEADER = ",".join(("id", *_METRIC_KEYS))
 
 
 @dataclasses.dataclass

@@ -98,16 +98,11 @@ class _SharedConfig:
 class SrnnConfig(_SharedConfig):
     """Plain sample-level model: embed -> 2 LSTM layers -> 2 FF layers."""
 
-    conditional = False  # no conditional tier
-
-    # SRNN consumes raw sequences: no length constraints, no lookahead.
-    @property
-    def time_multiple(self) -> int:
-        return 1
-
-    @property
-    def lookahead(self) -> int:
-        return 0
+    # No conditional tier; SRNN consumes raw sequences: no length
+    # constraints, no lookahead.
+    conditional = False
+    time_multiple = 1
+    lookahead = 0
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)

@@ -17,10 +17,10 @@ import pytest
 from bwex import dsp, nn
 from bwex.cli import main as cli_main
 from bwex.config import serialize_config
-from bwex.data import build_pair, load_wav, make_batch, save_wav, tbptt_chunks
+from bwex.data import build_pair, load_wav, make_batch, save_wav
 from bwex.dsp import QuantizedWaveform, Waveform
 from bwex.metrics import lsd, reconstruct_wideband, snr
-from bwex.models import Hrnn, HrnnConfig, PaddedBatch, Srnn, SrnnConfig, build_model, generate, max_latency_ms
+from bwex.models import Hrnn, HrnnConfig, PaddedBatch, Srnn, SrnnConfig, build_model, generate, max_latency_ms, tbptt_chunks
 from bwex.train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
 
 

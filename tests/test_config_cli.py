@@ -90,8 +90,11 @@ class TestConfigText:
             ("model", "hidden"): "8", ("model", "embed_dim"): "4", ("model", "strategy"): "wb#x"
         }
 
-    def test_meta_lines_allowed(self):
-        assert parse_config_text("meta.epoch = 3") == {}
+    def test_meta_lines_are_refused(self):
+        # Only a checkpoint carries metadata, and `load_checkpoint` splits
+        # its `meta.*` lines off before any config text is parsed.
+        with pytest.raises(ConfigError, match=r"^line 2: unknown section 'meta'$"):
+            parse_config_text("model.hidden = 8\nmeta.epoch = 3")
 
     def test_build_defaults_reference_system(self):
         cfg = build_run_config("model.kind = hrnn")
@@ -333,6 +336,19 @@ class TestCliTrain:
         err = assert_data_error(capsys, ["train", "--config", str(config), "--out", str(tmp_path)])
         assert err == f"data error: --out {tmp_path}: is a directory\n"
 
+    @pytest.mark.parametrize("command", ["train", "latency"])
+    def test_a_meta_line_exits_1_before_any_work(self, toy_corpus, capsys, command):
+        tmp_path, config, _ = toy_corpus
+        text = config.read_text() + "meta.note = hello\n"
+        config.write_text(text)
+        out = tmp_path / "x.bweh"
+        argv = ["train", "--config", str(config), "--out", str(out)] if command == "train" else ["latency", "--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: line {len(text.splitlines())}: unknown section 'meta'\n"
+        assert "epoch" not in captured.out
+        assert not out.exists()
+
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "dup.cfg"
         config.write_text("model.hidden = 8\nmodel.hidden = 9\n")
@@ -558,6 +574,20 @@ class TestCliDataErrors:
         assert_data_error(capsys, ["extend", "--model", str(ckpt), "--in", str(tmp_path / "empty.wav"), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("wav", ["empty", "16 kHz"])
+    @pytest.mark.parametrize("command", ["extend", "features"])
+    def test_extend_and_features_read_narrowband_by_one_rule(self, tmp_path, capsys, command, wav):
+        path = tmp_path / "in.wav"
+        save_wav(path, Waveform(np.zeros(0), 8000) if wav == "empty" else synth_wideband(1000))
+        out = tmp_path / "o"
+        if command == "extend":
+            argv = ["extend", "--model", str(tiny_checkpoint(tmp_path / "m.bweh")), "--in", str(path), "--out", str(out)]
+        else:
+            argv = ["features", "--in", str(path), "--out", str(out)]
+        reason = "no samples" if wav == "empty" else "expected 8000 Hz narrowband input, got 16000"
+        assert assert_data_error(capsys, argv) == f"data error: {path}: {reason}\n"
+        assert not out.exists()
+
     def test_extend_conditional_input_shorter_than_one_window(self, tmp_path, capsys):
         ckpt = tiny_checkpoint(tmp_path / "m.bweh", kind="chrnn")
         save_wav(tmp_path / "short.wav", synth_narrowband(100))
@@ -679,10 +709,15 @@ class TestCliFeatures:
         save_wav(wav, synth_wideband(1000))
         assert main(["features", "--in", str(wav), "--out", str(tmp_path / "f.bwef")]) == 2
 
-    def test_unknown_type_exits_1(self, tmp_path):
+    def test_type_is_an_unknown_option(self, tmp_path, capsys):
         nb_path = tmp_path / "nb.wav"
         save_wav(nb_path, synth_narrowband(1000))
-        assert main(["features", "--in", str(nb_path), "--out", str(tmp_path / "f"), "--type", "plp"]) == 1
+        out = tmp_path / "f"
+        assert main(["features", "--in", str(nb_path), "--out", str(out), "--type", "mfcc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "unrecognized arguments: --type mfcc" in err
+        assert not out.exists()
 
 
 class TestCliLatency:

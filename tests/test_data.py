@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import bwex
-from bwex import models, nn
+from bwex import nn
 from bwex.dsp import ConditionTrack, QuantizedWaveform, Waveform, decode_levels
-from bwex.models import Hrnn, HrnnConfig, SrnnConfig
+from bwex.models import Hrnn, HrnnConfig, SrnnConfig, tbptt_chunks
 from bwex.data import (
     DataError,
     PaddedBatch,
@@ -31,7 +31,6 @@ from bwex.data import (
     narrowband_mfcc,
     save_features,
     save_wav,
-    tbptt_chunks,
 )
 from bwex.train import Checkpoint, save_checkpoint
 
@@ -295,9 +294,6 @@ class TestBatching:
 
 
 class TestTbptt:
-    def test_data_keeps_the_name_of_the_models_rule(self):
-        assert tbptt_chunks is models.tbptt_chunks
-
     def test_chunks_are_padded_batches_of_the_batch(self):
         cfg = tiny_cfg()
         pairs = [build_pair(synth_wideband(n, seed=n), utt_id=f"u{n}") for n in (1000, 300, 520)]

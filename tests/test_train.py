@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import bwex.train
-from bwex import data, dsp, nn
+from bwex import data, dsp, models, nn
 from bwex.cli import main
 from bwex.config import model_from_checkpoint, serialize_config
 from bwex.data import load_wav, save_wav
@@ -204,7 +204,7 @@ class TestTrain:
 def test_no_forward_runs_on_an_all_padding_chunk(monkeypatch, run):
     # make_batch never pads a whole chunk, so one is appended, followed by
     # a valid chunk that the walk must not reach either.
-    real_chunks, real_forward = data.tbptt_chunks, Hrnn.forward
+    real_chunks, real_forward = models.tbptt_chunks, Hrnn.forward
     expected, forwarded = [], []
 
     def chunks_and_padding(batch, chunk_len, model_cfg):
@@ -281,12 +281,12 @@ class TestDroppedRows:
         return model, pairs, make_batch(pairs, model_cfg)
 
     def walk(self, model, batch, cache=False):
-        return forward_chunks(model, data.tbptt_chunks(batch, self.CHUNK, model.cfg), cache=cache)
+        return forward_chunks(model, models.tbptt_chunks(batch, self.CHUNK, model.cfg), cache=cache)
 
     @pytest.mark.parametrize("kind", ["hrnn", "chrnn"])
     def test_walk_holds_the_rows_valid_at_each_chunk_start(self, kind):
         model, _, batch = self.setup(kind)
-        full = data.tbptt_chunks(batch, self.CHUNK, model.cfg)
+        full = models.tbptt_chunks(batch, self.CHUNK, model.cfg)
         walked = [chunk for chunk, *_ in self.walk(model, batch)]
         row_sets = [tuple(np.flatnonzero(chunk.mask[:, 0])) for chunk in full]
         assert row_sets[0] == (0, 1, 2) and (0, 1) in row_sets and row_sets[-1] == (1,)
@@ -307,7 +307,7 @@ class TestDroppedRows:
         # A carried state mapped to the wrong row would show here.
         # A chunk's rows are the batch rows valid at its first position.
         model, pairs, batch = self.setup(kind)
-        full = data.tbptt_chunks(batch, self.CHUNK, model.cfg)
+        full = models.tbptt_chunks(batch, self.CHUNK, model.cfg)
         batched = [[] for _ in pairs]
         for (chunk, _, logits, _), whole in zip(self.walk(model, batch), full):
             for row, batch_row in enumerate(np.flatnonzero(whole.mask[:, 0])):
@@ -324,7 +324,7 @@ class TestDroppedRows:
     def test_gradients_match_a_walk_that_keeps_every_row(self, kind):
         model, _, batch = self.setup(kind)
         reference, state = [], None
-        for chunk in data.tbptt_chunks(batch, self.CHUNK, model.cfg):
+        for chunk in models.tbptt_chunks(batch, self.CHUNK, model.cfg):
             if not chunk.mask.any():
                 break
             logits, cache, state = model.forward(chunk.inputs, conditions=chunk.conditions, state=state)
@@ -344,7 +344,7 @@ class TestDroppedRows:
     def test_equal_lengths_walk_the_unchanged_chunks(self):
         model_cfg = self.CONFIGS["hrnn"]
         batch = make_batch(pairs_of_lengths((1400, 1400)), model_cfg)
-        made = data.tbptt_chunks(batch, self.CHUNK, model_cfg)
+        made = models.tbptt_chunks(batch, self.CHUNK, model_cfg)
         walked = [chunk for chunk, *_ in forward_chunks(build_model(model_cfg, rng=0), made)]
         assert len(made) == 5 and len(walked) == len(made)
         assert all(chunk is whole for chunk, whole in zip(walked, made))
@@ -356,7 +356,7 @@ class TestDroppedRows:
         model = build_model(model_cfg, rng=np.random.default_rng(2), dtype=np.float64)
         pairs = pairs_of_lengths((2200, 600), conditional=True)
         batch = dataclasses.replace(make_batch(pairs, model_cfg), targets=None)
-        full = data.tbptt_chunks(batch, self.CHUNK, model_cfg)
+        full = models.tbptt_chunks(batch, self.CHUNK, model_cfg)
         walked = [(chunk, logits) for chunk, _, logits, _ in forward_chunks(model, full, cache=False)]
         assert len(full) == 7 and len(walked) == len(full)
         for i, ((chunk, logits), whole) in enumerate(zip(walked, full)):
