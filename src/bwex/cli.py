@@ -2,8 +2,10 @@
 
 Subcommands: train, extend, eval, features, latency. Exit codes are part
 of the contract: 0 success, 1 configuration error, 2 data error, 3
-numeric abort. `--threads N` pins the BLAS thread pools before numpy
-loads; use `--threads 1` for bit-reproducible runs.
+numeric abort. `main` maps the package root's `ConfigError`, `DataError`
+(and `OSError`) and `NumericError` onto them, one stderr line each.
+`--threads N` pins the BLAS thread pools before numpy loads; use
+`--threads 1` for bit-reproducible runs.
 
 Heavy imports stay inside the command functions so the thread
 configuration set in `main` can take effect first.
@@ -16,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import ConfigError, DataError, NumericError
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -25,8 +29,8 @@ EXIT_NUMERIC = 3
 def _set_threads(raw: str | None):
     """Pin the BLAS thread pools to `--threads`, when it is given.
 
-    A value that is not a positive integer raises ValueError before any
-    variable is set.
+    A value that is not a positive integer raises ConfigError before any
+    variable is set, and before numpy loads.
     """
     if raw is None:
         return
@@ -35,7 +39,7 @@ def _set_threads(raw: str | None):
     except ValueError:
         n = 0
     if n < 1:
-        raise ValueError(f"thread count must be a positive integer, got {raw!r}")
+        raise ConfigError(f"thread count must be a positive integer, got {raw!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(n)
 
@@ -47,7 +51,7 @@ def cmd_train(args) -> int:
 
     text, run_cfg = read_run_config(args.config)
     if run_cfg.train_manifest is None or run_cfg.valid_manifest is None:
-        raise data.DataError("config must set data.train_manifest and data.valid_manifest")
+        raise DataError("config must set data.train_manifest and data.valid_manifest")
     data.check_out_path(args.out, f"--out {args.out}")  # before training, not after its last epoch
     train_manifest = data.load_manifest(run_cfg.train_manifest, split="train")
     valid_manifest = data.load_manifest(run_cfg.valid_manifest, split="valid")
@@ -66,11 +70,11 @@ def _load_narrowband(path):
 
     narrowband = data.load_wav(path)
     if narrowband.sample_rate_hz != dsp.NARROWBAND_RATE:
-        raise data.DataError(
+        raise DataError(
             f"{path}: expected {dsp.NARROWBAND_RATE} Hz narrowband input, got {narrowband.sample_rate_hz}"
         )
     if len(narrowband) == 0:
-        raise data.DataError(f"{path}: no samples")
+        raise DataError(f"{path}: no samples")
     return narrowband
 
 
@@ -117,25 +121,25 @@ def cmd_eval(args) -> int:
     ref_map = _wav_map(args.ref)
     deg_map = _wav_map(args.deg)
     if "mean" in ref_map:
-        raise data.DataError(f"{args.ref}: utterance id 'mean' is reserved for the report's mean row")
+        raise DataError(f"{args.ref}: utterance id 'mean' is reserved for the report's mean row")
     missing = sorted(set(ref_map) - set(deg_map))
     extra = sorted(set(deg_map) - set(ref_map))
     if missing or extra:
-        raise data.DataError(
+        raise DataError(
             f"utterance id mismatch: missing from --deg: {missing}; not in --ref: {extra}"
         )
     if not ref_map:
-        raise data.DataError("no utterances to evaluate")
+        raise DataError("no utterances to evaluate")
     rows = []
     for utt_id in sorted(ref_map):
         reference, degraded = data.load_wav(ref_map[utt_id]), data.load_wav(deg_map[utt_id])
         if (len(reference), reference.sample_rate_hz) != (len(degraded), degraded.sample_rate_hz):
-            raise data.DataError(
+            raise DataError(
                 f"{utt_id}: reference has {len(reference)} samples at {reference.sample_rate_hz} Hz,"
                 f" degraded {len(degraded)} samples at {degraded.sample_rate_hz} Hz"
             )
         if len(reference) < LSD_FRAME_LEN:
-            raise data.DataError(
+            raise DataError(
                 f"{utt_id}: {len(reference)} samples, the metrics need at least {LSD_FRAME_LEN}"
             )
         rows.append(evaluate_utterance(utt_id, reference, degraded))
@@ -153,7 +157,7 @@ def cmd_features(args) -> int:
     narrowband = _load_narrowband(args.input)
     track = data.narrowband_mfcc(narrowband)
     if track.n_frames == 0:
-        raise data.DataError(
+        raise DataError(
             f"{args.input}: {len(narrowband)} samples is shorter than one MFCC analysis window"
         )
     data.save_features(args.out, track)
@@ -172,16 +176,12 @@ def cmd_latency(args) -> int:
     return EXIT_OK
 
 
-class _UsageError(Exception):
-    """A command line argparse rejects; exits 1 like any config error."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse prints the usage and exits 2, the data-error code; raise
     # instead so `main` reports one `config error:` line. Subparsers are
     # built from this class too.
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,23 +224,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _set_threads(args.threads)
-    except (_UsageError, ValueError) as exc:
-        # ConfigError's module loads numpy, which must wait for the threads
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.func(args)
     except SystemExit as exc:  # --help prints the usage and exits 0
         return exc.code
-
-    from .config import ConfigError
-    from .data import DataError
-    from .train import CheckpointError, NumericError
-
-    try:
-        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CheckpointError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

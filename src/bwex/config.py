@@ -10,14 +10,11 @@ import dataclasses
 import re
 from pathlib import Path
 
+from . import ConfigError, DataError
 from .data import read_utf8
 from .dsp import MFCC_TRACK
 from .models import FieldError, HrnnConfig, ModelConfig, SrnnConfig, build_model
-from .train import Checkpoint, CheckpointError, TrainConfig
-
-
-class ConfigError(ValueError):
-    """Malformed configuration text."""
+from .train import Checkpoint, TrainConfig
 
 
 def _ints(raw: str):
@@ -198,11 +195,11 @@ def model_from_checkpoint(ckpt: Checkpoint):
 
     The model adopts the checkpoint's arrays rather than copying them, so
     the two share memory. Tensors that do not fit the configured
-    architecture raise CheckpointError.
+    architecture raise DataError.
     """
     run_cfg = build_run_config(ckpt.config_text)
     try:
         model = build_model(run_cfg.model_cfg, params=ckpt.params)
     except ValueError as exc:
-        raise CheckpointError(f"tensors do not match the checkpoint's config: {exc}") from exc
+        raise DataError(f"tensors do not match the checkpoint's config: {exc}") from exc
     return model, run_cfg

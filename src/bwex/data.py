@@ -19,13 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp
+from . import DataError, dsp
 from .dsp import ConditionTrack, QuantizedWaveform, Waveform
 from .models import ModelConfig, PaddedBatch
-
-
-class DataError(ValueError):
-    """Malformed corpus input: file formats, manifests, rates, lengths."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +111,12 @@ class _Reader:
 
     Every read is checked against the bytes the file has left before it
     happens, so a truncated file, or dims that claim more data than the
-    file holds, raise `error` before anything is allocated. Bytes left
+    file holds, raise DataError before anything is allocated. Bytes left
     over when the block ends raise it too.
     """
 
-    def __init__(self, path, error):
-        self.path, self.error = path, error
+    def __init__(self, path):
+        self.path = path
         self.handle = open(path, "rb")
         self.remaining = os.fstat(self.handle.fileno()).st_size
 
@@ -130,18 +126,18 @@ class _Reader:
     def __exit__(self, exc_type, *_):
         self.handle.close()
         if exc_type is None and self.remaining:
-            raise self.error(f"{self.path}: {self.remaining} trailing bytes")
+            raise DataError(f"{self.path}: {self.remaining} trailing bytes")
 
     def _claim(self, n: int):
         if n > self.remaining:
-            raise self.error(f"{self.path}: truncated file, {n} bytes claimed with {self.remaining} left")
+            raise DataError(f"{self.path}: truncated file, {n} bytes claimed with {self.remaining} left")
         self.remaining -= n
 
     def take(self, n: int) -> bytes:
         self._claim(n)
         out = self.handle.read(n)
         if len(out) != n:
-            raise self.error(f"{self.path}: truncated file")
+            raise DataError(f"{self.path}: truncated file")
         return out
 
     def u32(self) -> int:
@@ -153,14 +149,14 @@ class _Reader:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise self.error(f"{self.path}: invalid UTF-8 text ({exc.reason})") from exc
+            raise DataError(f"{self.path}: invalid UTF-8 text ({exc.reason})") from exc
 
     def tensor(self, dims) -> np.ndarray:
         """Read float32 data straight into a fresh array of shape dims."""
         self._claim(4 * math.prod(dims))
         out = np.empty(dims, dtype="<f4")
         if self.handle.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-            raise self.error(f"{self.path}: truncated file")
+            raise DataError(f"{self.path}: truncated file")
         return out
 
 
@@ -193,7 +189,7 @@ def save_features(path, track: ConditionTrack):
 
 
 def load_features(path) -> ConditionTrack:
-    with _Reader(path, DataError) as reader:
+    with _Reader(path) as reader:
         magic = reader.take(4)
         if magic != _FEATURE_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {_FEATURE_MAGIC!r}")
@@ -222,12 +218,14 @@ class CorpusManifest:
 
 
 def read_utf8(path, error=DataError) -> str:
-    """The text of the file at `path`; bytes that are not UTF-8 raise
-    `error` naming the file."""
+    """The text of the file at `path`; bytes that are not UTF-8, or a path
+    holding a NUL byte, raise `error` naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except ValueError as exc:  # `open` refuses a NUL byte, which no path can hold
+        raise error(f"{str(path)!r}: not a readable path") from exc
 
 
 def load_manifest(path, split: str = "train") -> CorpusManifest:

@@ -40,6 +40,7 @@ PAD_LEVEL = 128  # mu-law level of zero amplitude
 GENERATE_CHUNK = 4096
 VALIDATE_CHUNK = 2048
 SRNN_LSTM_LAYERS = 2  # recurrent depth of the sample-level model
+MAX_DIM = 2**32 - 1  # a checkpoint stores each tensor dim as a u32
 
 
 class FieldError(ValueError):
@@ -83,10 +84,15 @@ class _SharedConfig:
 
     def __post_init__(self):
         # No float field may be NaN or infinite: an inf hf_gain, for one, makes
-        # inf * 0 = NaN in the high-band target of a silent stretch.
+        # inf * 0 = NaN in the high-band target of a silent stretch. Every int
+        # field is a size, capped at MAX_DIM, so a model that trains also saves.
         for name, value in vars(self).items():  # a subclass's fields too
             if isinstance(value, float) and not np.isfinite(value):
                 raise FieldError(name, f"must be finite, got {value}")
+            if isinstance(value, int) and value > MAX_DIM:
+                raise FieldError(name, f"must be <= {MAX_DIM}, got {value}")
+            if isinstance(value, tuple) and max(value, default=0) > MAX_DIM:
+                raise FieldError(name, f"must all be <= {MAX_DIM}, got {value}")
         if self.strategy not in ("wb", "hf"):
             raise FieldError("strategy", f"must be 'wb' or 'hf', got {self.strategy!r}")
         for name in ("hidden", "embed_dim", "hf_gain"):

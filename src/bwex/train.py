@@ -13,17 +13,9 @@ import struct
 
 import numpy as np
 
-from . import nn
+from . import DataError, NumericError, nn
 from .data import _atomic_write, _Reader, batch_iter, make_batch
-from .models import VALIDATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks, tbptt_chunks
-
-
-class NumericError(RuntimeError):
-    """Training hit a non-finite loss or gradient."""
-
-
-class CheckpointError(ValueError):
-    """Malformed checkpoint file."""
+from .models import MAX_DIM, VALIDATE_CHUNK, FieldError, ModelConfig, build_model, forward_chunks, tbptt_chunks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,7 +187,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     """Write `ckpt` in the format above. A tensor of rank other than 1-3
     or with a dim past u32, metadata that would not read back as
     `str(value)` under its key, or text that UTF-8 cannot encode (a lone
-    surrogate) raises CheckpointError before any file is made."""
+    surrogate) raises DataError before any file is made."""
     blob = ckpt.config_text
     for key, value in sorted(ckpt.metadata.items()):
         blob += f"\nmeta.{key} = {value}"
@@ -203,7 +195,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     expected = {key: str(value) for key, value in ckpt.metadata.items()}
     for key in sorted(written.keys() | expected.keys()):
         if written.get(key) != expected.get(key):
-            raise CheckpointError(f"metadata {key!r} would not read back from a checkpoint")
+            raise DataError(f"metadata {key!r} would not read back from a checkpoint")
     _utf8(ckpt.config_text, "config text")
     for key, value in ckpt.metadata.items():
         _utf8(f"{key} = {value}", f"metadata {key!r}")
@@ -212,9 +204,9 @@ def save_checkpoint(path, ckpt: Checkpoint):
     for name, tensor in ckpt.params.items():
         tensor = np.asarray(tensor, dtype="<f4", order="C")  # ascontiguousarray makes rank 0 rank 1
         if tensor.ndim < 1 or tensor.ndim > 3:
-            raise CheckpointError(f"tensor {name!r} has unsupported rank {tensor.ndim}")
-        if max(tensor.shape) > 0xFFFFFFFF:
-            raise CheckpointError(f"tensor {name!r} has a dim past u32: {tensor.shape}")
+            raise DataError(f"tensor {name!r} has unsupported rank {tensor.ndim}")
+        if max(tensor.shape) > MAX_DIM:
+            raise DataError(f"tensor {name!r} has a dim past u32: {tensor.shape}")
         tensors.append((_utf8(name, f"tensor name {name!r}"), tensor))
 
     def write(handle):
@@ -237,26 +229,26 @@ def _utf8(text: str, what: str) -> bytes:
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise CheckpointError(f"{what} holds {text[exc.start]!r}, which UTF-8 cannot encode") from None
+        raise DataError(f"{what} holds {text[exc.start]!r}, which UTF-8 cannot encode") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with _Reader(path, CheckpointError) as reader:
+    with _Reader(path) as reader:
         if reader.take(4) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+            raise DataError(f"{path}: bad magic, not a checkpoint file")
         version = reader.u32()
         if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
         blob = reader.text()
         params: dict[str, np.ndarray] = {}
         for _ in range(reader.u32()):
             name = reader.text()
             rank = reader.take(1)[0]
             if rank < 1 or rank > 3:
-                raise CheckpointError(f"{path}: tensor {name!r} has unsupported rank {rank}")
+                raise DataError(f"{path}: tensor {name!r} has unsupported rank {rank}")
             dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
             if name in params:
-                raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
+                raise DataError(f"{path}: duplicate tensor name {name!r}")
             params[name] = reader.tensor(dims)
     config_text, metadata = _split_blob(blob)
     return Checkpoint(config_text=config_text, params=params, metadata=metadata)

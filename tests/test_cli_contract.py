@@ -1,8 +1,14 @@
 """The CLI exit-code contract under random, short, empty and garbled
-inputs: every run ends in 0, 1, 2 or 3, never in an uncaught exception."""
+inputs: every run ends in 0, 1, 2 or 3, never in an uncaught exception.
+The three error classes behind those codes are declared once, in the
+package root."""
 
+import ast
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import wave
 from pathlib import Path
@@ -11,10 +17,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import bwex  # noqa: E402
 from bwex.cli import main  # noqa: E402
-from bwex.config import build_run_config  # noqa: E402
+from bwex.config import _CONVERTERS, build_run_config  # noqa: E402
 from bwex.data import save_features  # noqa: E402
 from bwex.dsp import ConditionTrack  # noqa: E402
 from bwex.models import build_model  # noqa: E402
@@ -143,3 +150,60 @@ def test_train_honours_the_exit_contract(utterances, kind):
             code = main(["train", "--config", str(tmp / "c.cfg"), "--out", str(tmp / "m.bweh")])
         assert code in CONTRACT
         assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1
+
+
+# Config values by converter: small ints, ints up to 10^400 (too long for
+# a float), the bounds of u32, int64 and uint64, comma lists of those,
+# non-finite floats, the enum words, and junk.
+CONFIG_INTS = (
+    st.integers(-2, 20) | st.integers(0, 10**400) | st.sampled_from([2**32 - 1, 2**32, 2**63, 2**64, 10**400])
+)
+CONFIG_VALUES = {
+    "int": CONFIG_INTS.map(str),
+    "_ints": st.lists(CONFIG_INTS, min_size=1, max_size=4).map(lambda ints: ",".join(map(str, ints))),
+    "float": st.sampled_from(["inf", "-inf", "nan", "1e400", "0.5", "2"]),
+    "str": st.sampled_from(["srnn", "hrnn", "chrnn", "wb", "hf", "mfcc", "file"]),
+    "Path": st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8),
+}
+# A line holds a value for its key's converter, or any value.
+CONFIG_LINES = st.sampled_from(
+    [(f"{section}.{key}", convert.__name__) for section, keys in _CONVERTERS.items() for key, convert in keys.items()]
+).flatmap(lambda line: st.tuples(st.just(line[0]), CONFIG_VALUES[line[1]] | st.one_of(*CONFIG_VALUES.values())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=8, unique_by=lambda line: line[0]))
+@example(lines=[("model.frame_sizes", f"{10**400},4")])
+@example(lines=[("model.concat", f"2,2,{10**400}")])
+def test_latency_honours_the_exit_contract_on_any_config_text(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in lines), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["latency", "--config", str(path)])
+    assert code in (0, 1)
+    assert err.getvalue().count("\n") <= 1
+
+
+def test_the_package_root_declares_the_exit_classes():
+    """The only exception classes are the root's three, one per exit code,
+    and two internal ones that callers turn into one of them."""
+    declared = set()
+    for path in sorted(Path(bwex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases
+            ):
+                declared.add(f"{path.stem}.{node.name}")
+    assert declared == {
+        "__init__.ConfigError", "__init__.DataError", "__init__.NumericError", "models.FieldError", "nn.ShapeError"
+    }
+
+
+def test_the_exit_classes_import_without_numpy():
+    script = "import sys\nfrom bwex import ConfigError, DataError, NumericError\nassert 'numpy' not in sys.modules\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(bwex.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

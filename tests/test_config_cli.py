@@ -364,6 +364,10 @@ class TestCliTrain:
             "model.strategy = hf\nmodel.hf_gain = 0.5",
             "model.kind = chrnn\nmodel.cond_dim = 0",
             "model.kind = chrnn\nmodel.cond_frame_shift = 0",
+            f"model.hidden = {10**20}",
+            f"model.embed_dim = {10**20}",
+            f"model.frame_sizes = {10**20},4",
+            f"model.concat = 2,2,{10**20}",
         ],
     )
     def test_bad_model_size_exits_1(self, toy_corpus, capsys, lines):
@@ -836,11 +840,27 @@ def test_help_exits_0(argv, capsys):
         ("train.lr = nan", "train.lr must be finite and >= 0, got nan"),
         ("train.lr = inf", "train.lr must be finite and >= 0, got inf"),
         ("train.clip_norm = nan", "train.clip_norm must be positive, got nan"),
+        # Every size is capped at the checkpoint's u32 dim limit.
+        (f"model.hidden = {10**20}", f"model.hidden must be <= 4294967295, got {10**20}"),
+        (f"model.embed_dim = {10**20}", f"model.embed_dim must be <= 4294967295, got {10**20}"),
+        (f"model.frame_sizes = {10**20},4", f"model.frame_sizes must all be <= 4294967295, got ({10**20}, 4)"),
+        (f"model.concat = 2,2,{10**20}", f"model.concat must all be <= 4294967295, got (2, 2, {10**20})"),
+        (f"model.frame_sizes = {10**400},4", f"model.frame_sizes must all be <= 4294967295, got ({10**400}, 4)"),
+        (f"model.concat = {10**400},2,4", f"model.concat must all be <= 4294967295, got ({10**400}, 2, 4)"),
+        (
+            "model.kind = chrnn\nmodel.cond_source = file\nmodel.cond_dim = 4294967296",
+            "model.cond_dim must be <= 4294967295, got 4294967296",
+        ),
+        (
+            "model.kind = chrnn\nmodel.cond_source = file\nmodel.cond_frame_shift = 4294967296",
+            "model.cond_frame_shift must be <= 4294967295, got 4294967296",
+        ),
     ],
     ids=[
         "hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift", "cond_source",
         "seed", "hf_gain_inf", "hf_gain_nan", "cond_window_ms_nan", "cond_window_ms_negative", "lr_nan", "lr_inf",
-        "clip_norm_nan",
+        "clip_norm_nan", "hidden_u32", "embed_dim_u32", "frame_sizes_u32", "concat_u32", "frame_sizes_long",
+        "concat_long", "cond_dim_u32", "cond_frame_shift_u32",
     ],
 )
 def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):
@@ -872,3 +892,11 @@ def test_a_file_that_is_not_utf8_is_named_in_one_line(toy_corpus, capsys, comman
     kind = "config" if code == 1 else "data"
     assert err.startswith(f"{kind} error: {bad}: not UTF-8 text (invalid start byte at byte ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_nul_byte_in_a_manifest_path_is_a_data_error(toy_corpus, capsys):
+    tmp_path, config, manifest = toy_corpus
+    bad = f"{tmp_path}/a\x00b"
+    config.write_text(config.read_text().replace(f"data.train_manifest = {manifest}", f"data.train_manifest = {bad}"))
+    err = assert_data_error(capsys, ["train", "--config", str(config), "--out", str(tmp_path / "x.bweh")])
+    assert err == f"data error: {bad!r}: not a readable path\n"

@@ -18,7 +18,7 @@ from bwex.data import DataError, load_features, load_wav, save_features, save_wa
 from bwex.dsp import MFCC_TRACK, ConditionTrack, Waveform  # noqa: E402
 from bwex.metrics import CSV_HEADER, MetricsReport, UtteranceMetrics, format_report_csv  # noqa: E402
 from bwex.models import FieldError, HrnnConfig, SrnnConfig, max_latency_ms  # noqa: E402
-from bwex.train import Checkpoint, CheckpointError, TrainConfig, load_checkpoint, save_checkpoint  # noqa: E402
+from bwex.train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint  # noqa: E402
 
 
 @st.composite
@@ -157,7 +157,7 @@ def test_checkpoints_read_back_or_are_refused(tmp_path, params, metadata):
     )
     try:
         save_checkpoint(path, Checkpoint(config_text="model.kind = srnn", params=params, metadata=metadata))
-    except CheckpointError as exc:
+    except DataError as exc:
         assert not tensors_fit or str(exc).startswith("metadata ")
         assert not list(tmp_path.glob("*.tmp"))  # tmp_path is shared by every example
         return

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import bwex.train
-from bwex import data, dsp, models, nn
+from bwex import DataError, data, dsp, models, nn
 from bwex.cli import main
 from bwex.config import model_from_checkpoint, serialize_config
 from bwex.data import load_wav, save_wav
@@ -25,7 +25,6 @@ from bwex.metrics import reconstruct_wideband
 from bwex.models import Hrnn, HrnnConfig, SrnnConfig, build_model, forward_chunks, generate
 from bwex.train import (
     Checkpoint,
-    CheckpointError,
     NumericError,
     TrainConfig,
     load_checkpoint,
@@ -530,7 +529,7 @@ class TestCheckpointIo:
             ckpt = dataclasses.replace(ckpt, config_text=ckpt.config_text + f"\n# {lone}")
         else:
             ckpt = dataclasses.replace(ckpt, metadata={**ckpt.metadata, "note": lone})
-        with pytest.raises(CheckpointError, match=f"^{where} .*UTF-8 cannot encode"):
+        with pytest.raises(DataError, match=f"^{where} .*UTF-8 cannot encode"):
             save_checkpoint(tmp_path / "m.bweh", ckpt)
         assert list(tmp_path.iterdir()) == []
 
@@ -541,7 +540,7 @@ class TestCheckpointIo:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
@@ -549,7 +548,7 @@ class TestCheckpointIo:
         path = tmp_path / "t.bweh"
         save_checkpoint(path, ckpt)
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
@@ -559,7 +558,7 @@ class TestCheckpointIo:
         blob = bytearray(path.read_bytes())
         blob[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
     def test_file_format_is_pinned(self, tmp_path):
@@ -621,7 +620,7 @@ class TestCheckpointIo:
         save_wav(nb, Waveform(np.zeros(160), 8000))
         for cut in [0, 2, *cuts, len(raw) - 1]:
             path.write_bytes(raw[:cut])
-            with pytest.raises(CheckpointError, match="truncated"):
+            with pytest.raises(DataError, match="truncated"):
                 load_checkpoint(path)
             assert main(["extend", "--model", str(path), "--in", str(nb), "--out", str(tmp_path / "o.wav")]) == 2
             assert capsys.readouterr().err.startswith("data error:")
@@ -631,7 +630,7 @@ class TestCheckpointIo:
         path = tmp_path / "x.bweh"
         save_checkpoint(path, ckpt)
         path.write_bytes(path.read_bytes() + b"\0\0\0")
-        with pytest.raises(CheckpointError, match="3 trailing bytes"):
+        with pytest.raises(DataError, match="3 trailing bytes"):
             load_checkpoint(path)
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
@@ -645,7 +644,7 @@ class TestCheckpointIo:
         count = struct.unpack_from("<I", raw, count_at)[0]
         doubled = raw[:count_at] + struct.pack("<I", count + 1) + raw[count_at + 4 :] + raw[start:end]
         path.write_bytes(doubled)
-        with pytest.raises(CheckpointError, match="duplicate tensor name"):
+        with pytest.raises(DataError, match="duplicate tensor name"):
             load_checkpoint(path)
 
     def test_loaded_arrays_are_aligned_owned_float32(self, tmp_path):
