@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .dsp import MFCC_TRACK, ConditionTrack, QuantizedWaveform, decode_levels
+from .dsp import MFCC_TRACK, N_LEVELS, ConditionTrack, QuantizedWaveform, decode_levels
 
 PAD_LEVEL = 128  # mu-law level of zero amplitude
 # Output samples per forward of `generate` (256 ms) and of `train.validate`
@@ -85,7 +85,9 @@ class _SharedConfig:
     def __post_init__(self):
         # No float field may be NaN or infinite: an inf hf_gain, for one, makes
         # inf * 0 = NaN in the high-band target of a silent stretch. Every int
-        # field is a size, capped at MAX_DIM, so a model that trains also saves.
+        # field is a size, capped at MAX_DIM, and so is every tensor dim made
+        # from them (an LSTM's 4 x hidden rows here, a tier's input width in
+        # HrnnConfig), so a model that trains also saves.
         for name, value in vars(self).items():  # a subclass's fields too
             if isinstance(value, float) and not np.isfinite(value):
                 raise FieldError(name, f"must be finite, got {value}")
@@ -98,6 +100,8 @@ class _SharedConfig:
         for name in ("hidden", "embed_dim", "hf_gain"):
             if not getattr(self, name) >= 1:
                 raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
+        if 4 * self.hidden > MAX_DIM:
+            raise FieldError("hidden", f"gives an LSTM 4 x {self.hidden} gate rows, above {MAX_DIM}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,11 +190,26 @@ class HrnnConfig(_SharedConfig):
                 raise FieldError(field, f"{above}, which does not divide it")
         if shift is not None and (self.cond_dim is None or self.cond_dim < 1):
             raise FieldError("cond_dim", f"must be >= 1 for a conditional tier, got {self.cond_dim}")
+        for tier in tiers:
+            width = self.input_width(tier)
+            if width > MAX_DIM:
+                field = "embed_dim" if tier.kind == "sample" else "n_concat"
+                raise FieldError(field, f"gives the {tier.kind} tier an input width of {width}, above {MAX_DIM}")
         if source == "mfcc":  # after the range checks, so that an out-of-range value says so
             for key, value in MFCC_TRACK.items():
                 if getattr(self, key) != value:
                     raise FieldError(key, f"must be {value} with model.cond_source = mfcc, got {getattr(self, key)}")
         object.__setattr__(self, "tiers", tuple(tiers))
+
+    def input_width(self, tier: TierSpec) -> int:
+        """The width of one step's input to `tier`: n_concat embeddings at
+        the sample tier, cond_dim features at the conditional tier, and
+        n_concat frames of amplitudes at a waveform frame tier."""
+        if tier.kind == "sample":
+            return tier.n_concat * self.embed_dim
+        if tier.kind == "conditional":
+            return self.cond_dim
+        return tier.n_concat * tier.frame_size
 
     @classmethod
     def build(cls, **fields) -> "HrnnConfig":
@@ -364,18 +383,20 @@ def _lstm_layout(prefix: str, hidden: int, n_in: int) -> dict:
 
 
 def _embed_layout(embed_dim: int) -> dict:
-    return {"embed.table": ((nn.N_LEVELS, embed_dim), _uniform(embed_dim))}
+    return {"embed.table": ((N_LEVELS, embed_dim), _uniform(embed_dim))}
 
 
 class _Model:
     """Flat name->array parameter registry shared by Srnn and Hrnn.
 
     Each architecture declares its tensors in `_layout()` as name ->
-    (shape, init), in the order initialization draws them from the rng,
-    and its recurrent layers in `_lstm_prefixes()` as state key -> prefix.
-    With `params`, the model adopts those arrays instead of drawing: names
-    and shapes are checked, nothing is random, and an array that already
-    has the model's dtype and a C-contiguous layout is not copied.
+    (shape, init), in the order initialization draws them from the rng.
+    The layout is the one list of layers: an LSTM is its `{prefix}.wx`,
+    `{prefix}.wh` and `{prefix}.b` tensors, and its carried state is keyed
+    by that prefix (`tier2.lstm`, `lstm1`, ...). With `params`, the model
+    adopts those arrays instead of drawing: names and shapes are checked,
+    nothing is random, and an array that already has the model's dtype and
+    a C-contiguous layout is not copied.
     """
 
     def __init__(self, cfg, rng: np.random.Generator | int | None = None, dtype=np.float32, params: dict | None = None):
@@ -395,15 +416,14 @@ class _Model:
     def _lstm(self, prefix: str) -> nn.LstmParams:
         return nn.LstmParams(self.params[f"{prefix}.wx"], self.params[f"{prefix}.wh"], self.params[f"{prefix}.b"])
 
-    def _embedding(self) -> nn.EmbeddingTable:
-        return nn.EmbeddingTable(self.params["embed.table"])
-
     def init_state(self, batch_size: int) -> dict:
-        """Zero hidden/cell states for every LSTM layer (utterance start)."""
+        """Zero (h, c) states for every LSTM layer (utterance start): one
+        pair per `{prefix}.wh` tensor, keyed by `prefix`."""
         state = {}
-        for key, prefix in self._lstm_prefixes().items():
-            zeros = np.zeros((batch_size, self.params[f"{prefix}.wh"].shape[1]), dtype=self.dtype)
-            state[key] = (zeros, zeros.copy())
+        for name, weights in self.params.items():
+            if name.endswith(".wh"):
+                zeros = np.zeros((batch_size, weights.shape[1]), dtype=self.dtype)
+                state[name.removesuffix(".wh")] = (zeros, zeros.copy())
         return state
 
     def _head_forward(self, prefix: str, x: np.ndarray):
@@ -450,15 +470,12 @@ class Hrnn(_Model):
         layout = _embed_layout(cfg.embed_dim)
         for k, tier in enumerate(cfg.tiers):
             name = f"tier{k + 1}"
+            n_in = cfg.input_width(tier)
             if tier.kind == "sample":
-                layout.update(_affine_layout(f"{name}.combine", width, tier.n_concat * cfg.embed_dim))
+                layout.update(_affine_layout(f"{name}.combine", width, n_in))
                 layout.update(_affine_layout(f"{name}.ff1", width, width))
-                layout.update(_affine_layout(f"{name}.ff2", nn.N_LEVELS, width))
+                layout.update(_affine_layout(f"{name}.ff2", N_LEVELS, width))
                 continue
-            if tier.kind == "conditional":
-                n_in = cfg.cond_dim
-            else:
-                n_in = tier.n_concat * tier.frame_size
             if tier.kind == "intermediate":
                 layout.update(_affine_layout(f"{name}.combine", width, n_in))
                 n_in = width
@@ -467,9 +484,6 @@ class Hrnn(_Model):
             layout[f"{name}.fanout.w"] = ((ratio, width, width), _uniform(width))
             layout[f"{name}.fanout.b"] = ((ratio, width), _zeros)
         return layout
-
-    def _lstm_prefixes(self) -> dict:
-        return {k: f"tier{k + 1}.lstm" for k, tier in enumerate(self.cfg.tiers) if tier.kind != "sample"}
 
     def _sample_tables(self) -> list:
         """The sample tier's embedding composed with its combine layer.
@@ -482,10 +496,7 @@ class Hrnn(_Model):
         embed_dim = self.cfg.embed_dim
         table = self.params["embed.table"]
         weight = self.params["tier1.combine.w"]
-        return [
-            nn.EmbeddingTable(table @ weight[:, j * embed_dim : (j + 1) * embed_dim].T)
-            for j in range(self.cfg.tiers[0].n_concat)
-        ]
+        return [table @ weight[:, j * embed_dim : (j + 1) * embed_dim].T for j in range(self.cfg.tiers[0].n_concat)]
 
     def forward(
         self,
@@ -498,7 +509,8 @@ class Hrnn(_Model):
 
         levels [B, n_steps + lookahead] ints; conditions [B, >=n_frames, d]
         when the top tier is conditional. Returns (logits [B, n_steps, 256],
-        cache, state_out); recurrent states carry across consecutive calls.
+        cache, state_out); recurrent states, keyed as `init_state` keys them,
+        carry across consecutive calls.
         With `cache=False` (inference) no activations are kept for
         `backward` and the cache is None.
         """
@@ -541,9 +553,10 @@ class Hrnn(_Model):
                 lstm_in += conditioning
             else:
                 lstm_in = x_k
-            h0, c0 = state[k]
-            h_seq, state_out[k], lstm_cache = nn.lstm_forward(
-                self._lstm(f"{name}.lstm"), lstm_in, h0, c0, cache=cache
+            prefix = f"{name}.lstm"
+            h0, c0 = state[prefix]
+            h_seq, state_out[prefix], lstm_cache = nn.lstm_forward(
+                self._lstm(prefix), lstm_in, h0, c0, cache=cache
             )
             conditioning = conditioning_fanout(
                 h_seq, self.params[f"{name}.fanout.w"], self.params[f"{name}.fanout.b"]
@@ -576,7 +589,7 @@ class Hrnn(_Model):
         # The forward never formed the concatenated embeddings f; gather
         # them again from the cached levels for the combine weights.
         levels = cache["levels"]
-        f_sample = _frame_inputs(nn.embed(self._embedding(), levels), 1, cfg.tiers[0].n_concat, n_steps)
+        f_sample = _frame_inputs(nn.embed(self.params["embed.table"], levels), 1, cfg.tiers[0].n_concat, n_steps)
         (dw, db), df = nn.affine_backward(self._affine("tier1.combine"), f_sample, di)
         grads["tier1.combine.w"], grads["tier1.combine.b"] = dw, db
         d_conditioning = di  # i = combine(f) + conditioning
@@ -586,7 +599,7 @@ class Hrnn(_Model):
         d_vectors = np.zeros((levels.shape[0], levels.shape[1], embed_dim), dtype=df.dtype)
         for j in range(cfg.tiers[0].n_concat):
             d_vectors[:, j : j + n_steps] += df[:, :, j * embed_dim : (j + 1) * embed_dim]
-        grads["embed.table"] = nn.embed_backward(self._embedding(), levels, d_vectors)
+        grads["embed.table"] = nn.embed_backward(self.params["embed.table"], levels, d_vectors)
 
         for k in range(1, len(cfg.tiers)):
             tier = cfg.tiers[k]
@@ -619,11 +632,8 @@ class Srnn(_Model):
             layout.update(_lstm_layout(f"lstm{i}", cfg.hidden, n_in))
             n_in = cfg.hidden
         layout.update(_affine_layout("ff1", cfg.hidden, cfg.hidden))
-        layout.update(_affine_layout("ff2", nn.N_LEVELS, cfg.hidden))
+        layout.update(_affine_layout("ff2", N_LEVELS, cfg.hidden))
         return layout
-
-    def _lstm_prefixes(self) -> dict:
-        return {i: f"lstm{i}" for i in range(1, SRNN_LSTM_LAYERS + 1)}
 
     def forward(self, levels: np.ndarray, conditions=None, state: dict | None = None, cache: bool = True):
         """As `Hrnn.forward`, over unpadded levels [B, T]."""
@@ -634,12 +644,12 @@ class Srnn(_Model):
             raise ValueError("levels must be [batch, time]")
         state = state if state is not None else self.init_state(levels.shape[0])
         state_out = {}
-        x = nn.embed(self._embedding(), levels).astype(self.dtype)
+        h = nn.embed(self.params["embed.table"], levels)
         lstm_caches = {}
-        h = x
         for i in range(1, SRNN_LSTM_LAYERS + 1):
-            h0, c0 = state[i]
-            h, state_out[i], lstm_caches[i] = nn.lstm_forward(self._lstm(f"lstm{i}"), h, h0, c0, cache=cache)
+            prefix = f"lstm{i}"
+            h0, c0 = state[prefix]
+            h, state_out[prefix], lstm_caches[i] = nn.lstm_forward(self._lstm(prefix), h, h0, c0, cache=cache)
         logits, a = self._head_forward("", h)
         if not cache:
             return logits, None, state_out
@@ -651,7 +661,7 @@ class Srnn(_Model):
         for i in range(SRNN_LSTM_LAYERS, 0, -1):
             (dwx, dwh, dbs), dh, _, _ = nn.lstm_backward(self._lstm(f"lstm{i}"), cache["lstm"][i], dh)
             grads[f"lstm{i}.wx"], grads[f"lstm{i}.wh"], grads[f"lstm{i}.b"] = dwx, dwh, dbs
-        grads["embed.table"] = nn.embed_backward(self._embedding(), cache["levels"], dh)
+        grads["embed.table"] = nn.embed_backward(self.params["embed.table"], cache["levels"], dh)
         return grads
 
 

@@ -1,10 +1,11 @@
 """Minimal numpy neural toolkit: affine and LSTM layers, an embedding
-table, masked softmax cross-entropy, Adam, and finite-difference gradient
+lookup, masked softmax cross-entropy, Adam, and finite-difference gradient
 checking.
 
 Parameters live in plain numpy arrays grouped by small dataclasses; every
 layer has an exact analytic backward. Training runs in float32; gradient
-checks run the same code in float64.
+checks run the same code in float64. An input whose shape does not match
+a layer's parameters raises ValueError.
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ import warnings
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Raised when an input shape does not match a layer's parameters."""
-
-
 def _check_last_dim(name: str, x: np.ndarray, expected: int):
     if x.shape[-1] != expected:
-        raise ShapeError(f"{name}: input has trailing dim {x.shape[-1]}, parameters expect {expected}")
+        raise ValueError(f"{name}: input has trailing dim {x.shape[-1]}, parameters expect {expected}")
 
 
 def init_uniform(shape, fan_in: int, rng: np.random.Generator, dtype) -> np.ndarray:
@@ -185,7 +182,7 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     batch, steps, _ = x.shape
     hidden = p.hidden
     if h0.shape != (batch, hidden) or c0.shape != (batch, hidden):
-        raise ShapeError(f"lstm_forward: states {h0.shape}/{c0.shape} do not match (batch, hidden) = {(batch, hidden)}")
+        raise ValueError(f"lstm_forward: states {h0.shape}/{c0.shape} do not match (batch, hidden) = {(batch, hidden)}")
     # The logistic is 1/2 + tanh(z/2)/2, so one tanh pass serves all four
     # packed gates once the i, f and o pre-activations are halved; after
     # the tanh a step scales the gates by the same factors (1/2 on the i, f
@@ -350,30 +347,19 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
 # Embedding
 # ---------------------------------------------------------------------------
 
-N_LEVELS = 256
-
-
-@dataclasses.dataclass
-class EmbeddingTable:
-    table: np.ndarray  # [256, embed_dim]
-
-    def __post_init__(self):
-        if self.table.shape[0] != N_LEVELS:
-            raise ValueError(f"embedding table must have {N_LEVELS} rows, got {self.table.shape[0]}")
-
-
-def embed(table: EmbeddingTable, levels: np.ndarray) -> np.ndarray:
-    """Row gather: levels [...] -> vectors [..., embed_dim]."""
+def embed(table: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Row gather: levels [...] -> vectors [..., dim] of table [rows, dim].
+    A level outside [0, rows - 1] raises ValueError."""
     levels = np.asarray(levels)
-    if levels.size and (levels.min() < 0 or levels.max() >= N_LEVELS):
-        raise ValueError(f"levels out of range [0, {N_LEVELS - 1}]")
-    return table.table[levels]
+    if levels.size and (levels.min() < 0 or levels.max() >= len(table)):
+        raise ValueError(f"levels out of range [0, {len(table) - 1}]")
+    return table[levels]
 
 
-def embed_backward(table: EmbeddingTable, levels: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def embed_backward(table: np.ndarray, levels: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Scatter-add dy into the rows that were gathered, as one one-hot GEMM."""
-    one_hot = np.eye(N_LEVELS, dtype=dy.dtype)[np.asarray(levels).reshape(-1)]
-    return (one_hot.T @ dy.reshape(-1, dy.shape[-1])).astype(table.table.dtype, copy=False)
+    one_hot = np.eye(len(table), dtype=dy.dtype)[np.asarray(levels).reshape(-1)]
+    return (one_hot.T @ dy.reshape(-1, dy.shape[-1])).astype(table.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +453,7 @@ def adam_update(state: AdamState, params: dict, grads: dict):
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
-            raise ShapeError(f"adam_update: grad shape {g.shape} != param shape {theta.shape} for {name!r}")
+            raise ValueError(f"adam_update: grad shape {g.shape} != param shape {theta.shape} for {name!r}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"adam_update: non-finite gradient for {name!r}")
         if theta.dtype not in scratch:

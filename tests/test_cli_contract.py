@@ -188,7 +188,7 @@ def test_latency_honours_the_exit_contract_on_any_config_text(lines):
 
 def test_the_package_root_declares_the_exit_classes():
     """The only exception classes are the root's three, one per exit code,
-    and two internal ones that callers turn into one of them."""
+    and `models.FieldError`, which a config reader turns into ConfigError."""
     declared = set()
     for path in sorted(Path(bwex.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -196,9 +196,7 @@ def test_the_package_root_declares_the_exit_classes():
                 ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases
             ):
                 declared.add(f"{path.stem}.{node.name}")
-    assert declared == {
-        "__init__.ConfigError", "__init__.DataError", "__init__.NumericError", "models.FieldError", "nn.ShapeError"
-    }
+    assert declared == {"__init__.ConfigError", "__init__.DataError", "__init__.NumericError", "models.FieldError"}
 
 
 def test_the_exit_classes_import_without_numpy():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bwex
+import bwex.data
 import bwex.train
 from bwex import dsp
 from bwex.cli import main
@@ -271,6 +272,22 @@ def non_default_train_config(model):
     return cfg
 
 
+# Sizes under the u32 cap whose products are not: a frame tier's input
+# width, the sample tier's input width, and an LSTM's 4 x hidden gate rows.
+DERIVED_SIZE_CASES = [
+    (
+        "model.frame_sizes = 4294967292,4\nmodel.concat = 4294967295,2,4",
+        f"model.concat gives the top tier an input width of {4294967292 * 4294967295}, above 4294967295",
+    ),
+    (
+        "model.concat = 2,2,1073741824\nmodel.embed_dim = 4",
+        "model.embed_dim gives the sample tier an input width of 4294967296, above 4294967295",
+    ),
+    ("model.hidden = 1073741824", "model.hidden gives an LSTM 4 x 1073741824 gate rows, above 4294967295"),
+]
+DERIVED_SIZE_IDS = ["frame_tier_width", "sample_tier_width", "gate_rows"]
+
+
 @pytest.fixture()
 def toy_corpus(tmp_path):
     wav_dir = tmp_path / "wavs"
@@ -325,6 +342,23 @@ class TestCliTrain:
         err = assert_data_error(capsys, ["train", "--config", str(config), "--out", str(out)])
         assert err == f"data error: --out {out}: no directory {out.parent}\n"
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("lines, message", DERIVED_SIZE_CASES, ids=DERIVED_SIZE_IDS)
+    def test_a_derived_size_past_the_cap_exits_1_before_the_corpus_loads(
+        self, toy_corpus, capsys, monkeypatch, lines, message
+    ):
+        tmp_path, config, manifest = toy_corpus
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus loaded or train() ran")
+
+        monkeypatch.setattr(bwex.data, "load_manifest", no_work)
+        monkeypatch.setattr(bwex.train, "train", no_work)
+        config.write_text(f"{lines}\ndata.train_manifest = {manifest}\ndata.valid_manifest = {manifest}\n")
+        out = tmp_path / "x.bweh"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_a_directory_out_is_a_data_error_before_training(self, toy_corpus, capsys, monkeypatch):
         tmp_path, config, _ = toy_corpus
@@ -855,12 +889,13 @@ def test_help_exits_0(argv, capsys):
             "model.kind = chrnn\nmodel.cond_source = file\nmodel.cond_frame_shift = 4294967296",
             "model.cond_frame_shift must be <= 4294967295, got 4294967296",
         ),
+        *DERIVED_SIZE_CASES,
     ],
     ids=[
         "hidden", "embed_dim", "hf_gain", "frame_sizes", "concat", "cond_frame_shift", "cond_source",
         "seed", "hf_gain_inf", "hf_gain_nan", "cond_window_ms_nan", "cond_window_ms_negative", "lr_nan", "lr_inf",
         "clip_norm_nan", "hidden_u32", "embed_dim_u32", "frame_sizes_u32", "concat_u32", "frame_sizes_long",
-        "concat_long", "cond_dim_u32", "cond_frame_shift_u32",
+        "concat_long", "cond_dim_u32", "cond_frame_shift_u32", *DERIVED_SIZE_IDS,
     ],
 )
 def test_out_of_range_value_names_its_key(tmp_path, capsys, text, message):

@@ -12,6 +12,7 @@ from bwex.dsp import ConditionTrack, QuantizedWaveform, Waveform
 from bwex.models import (
     GENERATE_CHUNK,
     VALIDATE_CHUNK,
+    MAX_DIM,
     FieldError,
     Hrnn,
     HrnnConfig,
@@ -87,6 +88,30 @@ class TestConfig:
         # With a conditional top (n_concat 1) the frame tiers still need theirs.
         assert tiny_cfg(cond_frame_shift=32, cond_dim=5).lookahead == 16
         assert tiny_cfg(n_concat=(1, 1, 1)).lookahead == 0
+
+    def test_derived_sizes_are_capped(self):
+        # A tensor dim made of several fields is held to a checkpoint's u32
+        # dim, and the field named is the one a config key sets.
+        with pytest.raises(FieldError, match=f"^hidden gives an LSTM 4 x {2**30} gate rows, above {MAX_DIM}$"):
+            SrnnConfig(hidden=2**30)
+        top = f"^n_concat gives the top tier an input width of {4294967292 * 4294967295}, above {MAX_DIM}$"
+        with pytest.raises(FieldError, match=top):
+            tiny_cfg(frame_sizes=(4294967292, 4), n_concat=(4294967295, 2, 4))
+        with pytest.raises(FieldError, match=f"^embed_dim gives the sample tier an input width of {2**32}, above {MAX_DIM}$"):
+            tiny_cfg(n_concat=(2, 2, 2**30), embed_dim=4)
+        # At the cap itself every derived size still fits.
+        assert tiny_cfg(hidden=MAX_DIM // 4).hidden == MAX_DIM // 4
+        cfg = tiny_cfg(n_concat=(2, 2, MAX_DIM // 5), embed_dim=5)
+        assert cfg.input_width(cfg.tiers[0]) == MAX_DIM // 5 * 5 <= MAX_DIM
+
+    def test_layout_reads_each_tiers_input_width(self):
+        cfg = tiny_cfg(cond_frame_shift=32, cond_dim=5)
+        model = Hrnn(cfg, rng=0)
+        assert [cfg.input_width(t) for t in cfg.tiers] == [4 * 4, 2 * 4, 2 * 16, 5]
+        assert model.params["tier1.combine.w"].shape[1] == cfg.input_width(cfg.tiers[0])
+        assert model.params["tier2.combine.w"].shape[1] == cfg.input_width(cfg.tiers[1])
+        assert model.params["tier3.combine.w"].shape[1] == cfg.input_width(cfg.tiers[2])
+        assert model.params["tier4.lstm.wx"].shape[1] == cfg.input_width(cfg.tiers[3])
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -583,6 +608,28 @@ class TestChunkedGenerate:
             np.testing.assert_array_equal(out_state[key][0], h)
             np.testing.assert_array_equal(out_state[key][1], c)
 
+    @pytest.mark.parametrize(
+        "kind, prefixes",
+        [
+            ("hrnn", ["tier2.lstm", "tier3.lstm"]),
+            ("conditional", ["tier2.lstm", "tier3.lstm", "tier4.lstm"]),
+            ("srnn", ["lstm1", "lstm2"]),
+        ],
+    )
+    def test_state_is_keyed_by_the_layouts_lstm_prefixes(self, kind, prefixes):
+        model = _inference_model(kind, np.float32)
+        assert [name.removesuffix(".wh") for name in model.params if name.endswith(".wh")] == prefixes
+        state = model.init_state(2)
+        assert list(state) == prefixes
+        for prefix, (h, c) in state.items():
+            hidden = model.params[f"{prefix}.wh"].shape[1]
+            assert h.shape == c.shape == (2, hidden) and not h.any() and not c.any()
+            assert not np.shares_memory(h, c)
+        levels, cond, _ = _one_pass_inputs(model, *_inference_inputs(kind, 200))
+        for cache in (True, False):
+            _, _, state_out = model.forward(levels, conditions=cond, cache=cache)
+            assert sorted(state_out) == sorted(prefixes)
+
     @staticmethod
     def forwarded_lengths(monkeypatch, model):
         """The output steps of each forward `model` runs from now on."""
@@ -685,9 +732,10 @@ class TestBuildAndLoad:
         params = Hrnn(tiny_cfg(), rng=24).params
         with pytest.raises(ValueError, match="missing"):
             build_model(tiny_cfg(), params={k: v for k, v in params.items() if k != "embed.table"})
-        bad = dict(params, **{"embed.table": np.zeros((256, 5), np.float32)})
-        with pytest.raises(ValueError, match="shape mismatch"):
-            build_model(tiny_cfg(), params=bad)
+        for table in (np.zeros((256, 5), np.float32), np.zeros((255, 4), np.float32)):  # wrong width, wrong alphabet
+            bad = dict(params, **{"embed.table": table})
+            with pytest.raises(ValueError, match="shape mismatch for 'embed.table'"):
+                build_model(tiny_cfg(), params=bad)
 
     def test_load_params_validates_names(self):
         model = Hrnn(tiny_cfg(), rng=21)

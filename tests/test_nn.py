@@ -13,10 +13,8 @@ from bwex import nn
 from bwex.nn import (
     AdamState,
     AffineParams,
-    EmbeddingTable,
     GradCheckReport,
     LstmParams,
-    ShapeError,
     adam_update,
     affine,
     affine_backward,
@@ -43,7 +41,7 @@ class TestAffine:
 
     def test_shape_mismatch_names_shapes(self):
         p = AffineParams(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ShapeError, match="4"):
+        with pytest.raises(ValueError, match="4"):
             affine(p, np.zeros((1, 4)))
 
     def test_backward_matches_finite_differences(self):
@@ -106,7 +104,9 @@ class TestLstm:
 
     def test_state_shape_mismatch(self):
         p = LstmParams(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8))
-        with pytest.raises(ShapeError):
+        with pytest.raises(
+            ValueError, match=r"^lstm_forward: states \(1, 3\)/\(1, 3\) do not match \(batch, hidden\) = \(1, 2\)$"
+        ):
             lstm_forward(p, np.zeros((1, 1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
 
     def test_forward_matches_stepwise(self):
@@ -698,13 +698,13 @@ class TestLstmInference:
 class TestEmbedding:
     def test_gather_exact_rows(self):
         rng = np.random.default_rng(2)
-        table = EmbeddingTable(rng.standard_normal((256, 4)).astype(np.float32))
+        table = rng.standard_normal((256, 4)).astype(np.float32)
         levels = np.array([0, 255, 7])
         out = embed(table, levels)
-        np.testing.assert_array_equal(out, table.table[[0, 255, 7]])
+        np.testing.assert_array_equal(out, table[[0, 255, 7]])
 
     def test_repeated_levels_accumulate(self):
-        table = EmbeddingTable(np.zeros((256, 3), dtype=np.float64))
+        table = np.zeros((256, 3), dtype=np.float64)
         levels = np.array([5, 5, 9])
         dy = np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 1.0, 0]])
         dtable = embed_backward(table, levels, dy)
@@ -712,19 +712,33 @@ class TestEmbedding:
         np.testing.assert_array_equal(dtable[9], [0, 1.0, 0])
 
     def test_untouched_rows_zero(self):
-        table = EmbeddingTable(np.ones((256, 2)))
+        table = np.ones((256, 2))
         dtable = embed_backward(table, np.array([1, 2]), np.ones((2, 2)))
         untouched = np.delete(np.arange(256), [1, 2])
         assert not dtable[untouched].any()
 
     def test_out_of_range_level(self):
-        table = EmbeddingTable(np.zeros((256, 2)))
-        with pytest.raises(ValueError):
+        table = np.zeros((256, 2))
+        with pytest.raises(ValueError, match=r"^levels out of range \[0, 255\]$"):
             embed(table, np.array([256]))
 
-    def test_wrong_table_size(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable(np.zeros((255, 4)))
+    @pytest.mark.parametrize("rows", [1, 5, 300])
+    def test_any_row_count_is_its_own_alphabet(self, rows):
+        # The table's row count is the alphabet: the gather and the
+        # scatter-add are exact, and a level past the last row is refused
+        # with the table's own bound.
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 3))
+        levels = rng.integers(0, rows, (2, 7))
+        np.testing.assert_array_equal(embed(table, levels), np.stack([[table[v] for v in row] for row in levels]))
+        dy = rng.integers(-8, 9, (2, 7, 3)).astype(np.float64)  # integer sums are exact in any order
+        want = np.zeros_like(table)
+        for v, d in zip(levels.reshape(-1), dy.reshape(-1, 3)):
+            want[v] += d
+        np.testing.assert_array_equal(embed_backward(table, levels, dy), want)
+        for bad in (rows, -1):
+            with pytest.raises(ValueError, match=rf"^levels out of range \[0, {rows - 1}\]$"):
+                embed(table, np.array([0, bad]))
 
 
 def _former_softmax_ce(logits, targets, mask):
@@ -921,7 +935,7 @@ class TestAdam:
     def test_error_messages(self):
         params = {"w": np.ones((2, 3)), "b": np.ones(3)}
         state = AdamState.create(params)
-        with pytest.raises(ShapeError, match=r"^adam_update: grad shape \(3, 2\) != param shape \(2, 3\) for 'w'$"):
+        with pytest.raises(ValueError, match=r"^adam_update: grad shape \(3, 2\) != param shape \(2, 3\) for 'w'$"):
             adam_update(state, params, {"w": np.ones((3, 2)), "b": np.ones(3)})
         with pytest.raises(ValueError, match=r"^adam_update: non-finite gradient for 'b'$"):
             adam_update(state, params, {"w": np.ones((2, 3)), "b": np.array([1.0, np.inf, 0.0])})
