@@ -57,7 +57,7 @@ def main():
     print(format_report_text(build_report(rows)))
     print()
 
-    print("== maximal latency (future input needed per output sample) ==")
+    print("== maximal latency (the model's own future input per output sample) ==")
     systems = [
         ("sample-level RNN", SrnnConfig()),
         ("3-tier hierarchy (16, 4)", HrnnConfig()),
@@ -68,7 +68,8 @@ def main():
         print(f"  {name:>42}: {max_latency_ms(cfg, rate):g} ms")
     print("\nThe sample-level model is causal; the hierarchy waits for")
     print("concat * frame_size - 1 = 31 future samples at its top tier; the")
-    print("conditional variant inherits its feature window instead.")
+    print("conditional variant inherits its feature window instead. The extend")
+    print("path's resampling and HF filters read further ahead (see README).")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Subcommands: train, extend, eval, features, latency. Exit codes are part
 of the contract: 0 success, 1 configuration error, 2 data error, 3
 numeric abort. `main` maps the package root's `ConfigError`, `DataError`
-(and `OSError`) and `NumericError` onto them, one stderr line each.
+(and `OSError`, `MemoryError`) and `NumericError` onto them, one line each.
 `--threads N` pins the BLAS thread pools before numpy loads; use
 `--threads 1` for bit-reproducible runs.
 
@@ -232,6 +232,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # sizes within every cap that outgrow the host
+        print(f"data error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

@@ -165,6 +165,7 @@ def mulaw_encode(w: Waveform) -> QuantizedWaveform:
 
 
 def mulaw_decode(q: QuantizedWaveform) -> Waveform:
+    """The inverse of `mulaw_encode`, up to quantization: each level's bin-center amplitude."""
     return Waveform(decode_levels(q.levels), q.sample_rate_hz)
 
 

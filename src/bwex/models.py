@@ -335,23 +335,13 @@ def conditioning_fanout(h: np.ndarray, weights: np.ndarray, biases: np.ndarray) 
 
     h [B, T, H_up] with weights [r, H_down, H_up] yields [B, T*r, H_down]:
     each upper step t emits r projections, ordered j = 1..r within t.
-    The r projections of all steps are one GEMM against the weights viewed
-    as [r * H_down, H_up].
+    The r projections of all steps are one `nn.affine` over the rows
+    h [B*T, H_up], with the weights viewed as [r * H_down, H_up].
     """
     batch, steps, up = h.shape
     ratio, down, _ = weights.shape
-    expanded = h.reshape(-1, up) @ weights.reshape(ratio * down, up).T
-    expanded += biases.reshape(-1)
+    expanded = nn.affine(nn.AffineParams(weights.reshape(-1, up), biases.reshape(-1)), h.reshape(-1, up))
     return expanded.reshape(batch, steps * ratio, down)
-
-
-def _fanout_backward(d_out: np.ndarray, h: np.ndarray, weights: np.ndarray):
-    ratio, down, up = weights.shape
-    d2 = d_out.reshape(-1, ratio * down)
-    d_weights = (d2.T @ h.reshape(-1, up)).reshape(weights.shape)
-    d_biases = d2.sum(axis=0).reshape(ratio, down)
-    dh = (d2 @ weights.reshape(ratio * down, up)).reshape(h.shape)
-    return d_weights, d_biases, dh
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +360,10 @@ def _lstm_biases(shape, rng, dtype):
     return nn.lstm_biases(shape[0] // 4, dtype)
 
 
-def _affine_layout(prefix: str, n_out: int, n_in: int) -> dict:
-    return {f"{prefix}.w": ((n_out, n_in), _uniform(n_in)), f"{prefix}.b": ((n_out,), _zeros)}
+def _affine_layout(prefix: str, n_in: int, *n_out: int) -> dict:
+    """A dense layer: weights [*n_out, n_in] and biases [*n_out]. A fan-out's
+    n_out is (r, down); `_Model._affine` views its weights as 2-D."""
+    return {f"{prefix}.w": ((*n_out, n_in), _uniform(n_in)), f"{prefix}.b": (n_out, _zeros)}
 
 
 def _lstm_layout(prefix: str, hidden: int, n_in: int) -> dict:
@@ -411,10 +403,27 @@ class _Model:
             self.params = {name: np.ascontiguousarray(params[name], dtype=self.dtype) for name in layout}
 
     def _affine(self, prefix: str) -> nn.AffineParams:
-        return nn.AffineParams(self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
+        """Dense layer `prefix`, its weights viewed as 2-D: a fan-out's [r, down, up] as [r * down, up]."""
+        weights = self.params[f"{prefix}.w"]
+        return nn.AffineParams(weights.reshape(-1, weights.shape[-1]), self.params[f"{prefix}.b"].reshape(-1))
 
     def _lstm(self, prefix: str) -> nn.LstmParams:
         return nn.LstmParams(self.params[f"{prefix}.wx"], self.params[f"{prefix}.wh"], self.params[f"{prefix}.b"])
+
+    def _affine_backward(self, prefix: str, x: np.ndarray, dy: np.ndarray, grads: dict) -> np.ndarray:
+        """Store layer `prefix`'s gradients in `grads`, in the layout's
+        shapes; returns the gradient w.r.t. x. x and dy are the operands of
+        its forward product, 2-D for a fan-out."""
+        (dw, db), dx = nn.affine_backward(self._affine(prefix), x, dy)
+        grads[f"{prefix}.w"] = dw.reshape(self.params[f"{prefix}.w"].shape)
+        grads[f"{prefix}.b"] = db.reshape(self.params[f"{prefix}.b"].shape)
+        return dx
+
+    def _lstm_backward(self, prefix: str, cache: nn.LstmCache, dh_seq: np.ndarray, grads: dict) -> np.ndarray:
+        """Store LSTM `prefix`'s gradients in `grads`; returns the gradient w.r.t. its input."""
+        dparams, dx, _, _ = nn.lstm_backward(self._lstm(prefix), cache, dh_seq)
+        grads.update(zip((f"{prefix}.wx", f"{prefix}.wh", f"{prefix}.b"), dparams))
+        return dx
 
     def init_state(self, batch_size: int) -> dict:
         """Zero (h, c) states for every LSTM layer (utterance start): one
@@ -434,10 +443,8 @@ class _Model:
 
     def _head_backward(self, prefix: str, x: np.ndarray, a: np.ndarray, dlogits: np.ndarray, grads: dict):
         """Store the head's gradients in `grads`; returns the gradient w.r.t. x."""
-        (grads[f"{prefix}ff2.w"], grads[f"{prefix}ff2.b"]), da = nn.affine_backward(self._affine(f"{prefix}ff2"), a, dlogits)
-        dz = da * (a > 0)
-        (grads[f"{prefix}ff1.w"], grads[f"{prefix}ff1.b"]), dx = nn.affine_backward(self._affine(f"{prefix}ff1"), x, dz)
-        return dx
+        da = self._affine_backward(f"{prefix}ff2", a, dlogits, grads)
+        return self._affine_backward(f"{prefix}ff1", x, da * (a > 0), grads)
 
     def load_params(self, values: dict):
         """Copy new values into the existing parameter arrays; names and
@@ -472,17 +479,16 @@ class Hrnn(_Model):
             name = f"tier{k + 1}"
             n_in = cfg.input_width(tier)
             if tier.kind == "sample":
-                layout.update(_affine_layout(f"{name}.combine", width, n_in))
+                layout.update(_affine_layout(f"{name}.combine", n_in, width))
                 layout.update(_affine_layout(f"{name}.ff1", width, width))
-                layout.update(_affine_layout(f"{name}.ff2", N_LEVELS, width))
+                layout.update(_affine_layout(f"{name}.ff2", width, N_LEVELS))
                 continue
             if tier.kind == "intermediate":
-                layout.update(_affine_layout(f"{name}.combine", width, n_in))
+                layout.update(_affine_layout(f"{name}.combine", n_in, width))
                 n_in = width
             layout.update(_lstm_layout(f"{name}.lstm", width, n_in))
             ratio = tier.frame_size // cfg.tiers[k - 1].frame_size
-            layout[f"{name}.fanout.w"] = ((ratio, width, width), _uniform(width))
-            layout[f"{name}.fanout.b"] = ((ratio, width), _zeros)
+            layout.update(_affine_layout(f"{name}.fanout", width, ratio, width))
         return layout
 
     def _sample_tables(self) -> list:
@@ -555,12 +561,8 @@ class Hrnn(_Model):
                 lstm_in = x_k
             prefix = f"{name}.lstm"
             h0, c0 = state[prefix]
-            h_seq, state_out[prefix], lstm_cache = nn.lstm_forward(
-                self._lstm(prefix), lstm_in, h0, c0, cache=cache
-            )
-            conditioning = conditioning_fanout(
-                h_seq, self.params[f"{name}.fanout.w"], self.params[f"{name}.fanout.b"]
-            )
+            h_seq, state_out[prefix], lstm_cache = nn.lstm_forward(self._lstm(prefix), lstm_in, h0, c0, cache=cache)
+            conditioning = conditioning_fanout(h_seq, self.params[f"{name}.fanout.w"], self.params[f"{name}.fanout.b"])
             if cache:
                 tier_caches[k] = {"x": x_k, "lstm": lstm_cache}
 
@@ -590,8 +592,7 @@ class Hrnn(_Model):
         # them again from the cached levels for the combine weights.
         levels = cache["levels"]
         f_sample = _frame_inputs(nn.embed(self.params["embed.table"], levels), 1, cfg.tiers[0].n_concat, n_steps)
-        (dw, db), df = nn.affine_backward(self._affine("tier1.combine"), f_sample, di)
-        grads["tier1.combine.w"], grads["tier1.combine.b"] = dw, db
+        df = self._affine_backward("tier1.combine", f_sample, di, grads)
         d_conditioning = di  # i = combine(f) + conditioning
 
         # Concatenated embeddings: overlap-add the frame slots back.
@@ -605,13 +606,12 @@ class Hrnn(_Model):
             tier = cfg.tiers[k]
             name = f"tier{k + 1}"
             tc = tiers[k]
-            dw_fan, db_fan, dh = _fanout_backward(d_conditioning, tc["lstm"].h, self.params[f"{name}.fanout.w"])
-            grads[f"{name}.fanout.w"], grads[f"{name}.fanout.b"] = dw_fan, db_fan
-            (dwx, dwh, db), dx, _, _ = nn.lstm_backward(self._lstm(f"{name}.lstm"), tc["lstm"], dh)
-            grads[f"{name}.lstm.wx"], grads[f"{name}.lstm.wh"], grads[f"{name}.lstm.b"] = dwx, dwh, db
+            h = tc["lstm"].h
+            h_rows = h.reshape(-1, h.shape[-1])  # the fan-out's forward operands, 2-D
+            dh = self._affine_backward(f"{name}.fanout", h_rows, d_conditioning.reshape(len(h_rows), -1), grads)
+            dx = self._lstm_backward(f"{name}.lstm", tc["lstm"], dh.reshape(h.shape), grads)
             if tier.kind == "intermediate":
-                (dw, db), _ = nn.affine_backward(self._affine(f"{name}.combine"), tc["x"], dx)
-                grads[f"{name}.combine.w"], grads[f"{name}.combine.b"] = dw, db
+                self._affine_backward(f"{name}.combine", tc["x"], dx, grads)
                 d_conditioning = dx  # lstm_in = combine(x) + conditioning
             # Top and conditional tiers consume raw inputs: nothing upstream.
         return grads
@@ -632,7 +632,7 @@ class Srnn(_Model):
             layout.update(_lstm_layout(f"lstm{i}", cfg.hidden, n_in))
             n_in = cfg.hidden
         layout.update(_affine_layout("ff1", cfg.hidden, cfg.hidden))
-        layout.update(_affine_layout("ff2", N_LEVELS, cfg.hidden))
+        layout.update(_affine_layout("ff2", cfg.hidden, N_LEVELS))
         return layout
 
     def forward(self, levels: np.ndarray, conditions=None, state: dict | None = None, cache: bool = True):
@@ -659,8 +659,7 @@ class Srnn(_Model):
         grads = {}
         dh = self._head_backward("", cache["lstm"][SRNN_LSTM_LAYERS].h, cache["a"], dlogits, grads)
         for i in range(SRNN_LSTM_LAYERS, 0, -1):
-            (dwx, dwh, dbs), dh, _, _ = nn.lstm_backward(self._lstm(f"lstm{i}"), cache["lstm"][i], dh)
-            grads[f"lstm{i}.wx"], grads[f"lstm{i}.wh"], grads[f"lstm{i}.b"] = dwx, dwh, dbs
+            dh = self._lstm_backward(f"lstm{i}", cache["lstm"][i], dh, grads)
         grads["embed.table"] = nn.embed_backward(self.params["embed.table"], cache["levels"], dh)
         return grads
 

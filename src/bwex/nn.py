@@ -51,13 +51,10 @@ def affine(p: AffineParams, x: np.ndarray) -> np.ndarray:
 
 
 def affine_backward(p: AffineParams, x: np.ndarray, dy: np.ndarray):
-    """Returns ((dweight, dbias), dx)."""
-    x2 = x.reshape(-1, x.shape[-1])
+    """Returns ((dweight, dbias), dx). The weight and bias gradients sum
+    over every leading axis; dx has the shape of x."""
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dweight = dy2.T @ x2
-    dbias = dy2.sum(axis=0)
-    dx = dy @ p.weight
-    return (dweight, dbias), dx
+    return (dy2.T @ x.reshape(-1, x.shape[-1]), dy2.sum(axis=0)), dy @ p.weight
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +162,11 @@ class LstmCache:
 def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, cache: bool = True):
     """Run the cell over the time axis of x [B, T, n_in].
 
-    Returns (h_seq [B, T, H], (h_last, c_last), cache). A step allocates
-    no buffer: it works in one reused gate-major buffer [5H, B] whose
-    contiguous [H, B] blocks hold c and the i, f, g and o gates, in that
-    order, and in an [H, B] buffer for tanh(c), and writes h into its
+    Returns (h_seq [B, T, H], (h_last, c_last), cache). The input
+    projection and the biases are one `affine` over every step. A step
+    allocates no buffer: it works in one reused gate-major buffer [5H, B]
+    whose contiguous [H, B] blocks hold c and the i, f, g and o gates, in
+    that order, and in an [H, B] buffer for tanh(c), and writes h into its
     C-ordered [H, B] slot of a step-major [T, H, B] buffer, the right
     operand of the next step's recurrent product. With its gate operands
     pre-scaled (below) a step is nine numpy calls: the recurrent product
@@ -200,8 +198,7 @@ def lstm_forward(p: LstmParams, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, c
     row_scale[2 * hidden : 3 * hidden] = 1.0
     scale = np.repeat(row_scale[:, None], batch, axis=1)
     shift = 1.0 - scale
-    x_proj = x @ p.input_weights.T  # hoisted: one big matmul
-    x_proj += p.biases
+    x_proj = affine(AffineParams(p.input_weights, p.biases), x)  # hoisted: one big matmul
     weights = p.recurrent_weights
     prescaled = steps * PRESCALE_WEIGHTS_PER_STEP >= weights.size
     if prescaled:
@@ -266,7 +263,9 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
     """Full BPTT through a cached forward pass.
 
     dh_seq holds the loss gradient w.r.t. every emitted hidden state.
-    Returns (dparams: LstmParams-shaped tuple, dx, dh0, dc0).
+    Returns (dparams: LstmParams-shaped tuple, dx, dh0, dc0). The input
+    projection is an `affine` layer, so `affine_backward` forms its weight,
+    bias and input gradients; only the recurrence is LSTM code.
     """
     batch, steps, hidden = cache.h.shape
     # Every gate derivative is (dc or dh) times a factor of the cached
@@ -334,12 +333,9 @@ def lstm_backward(p: LstmParams, cache: LstmCache, dh_seq: np.ndarray):
         else:
             matmul(dz_t, weights, dh_next)
         multiply(dc, gf_t, dc_next)
-    dz2 = dz_seq.reshape(-1, 4 * hidden)
-    d_input_w = dz2.T @ cache.x.reshape(-1, cache.x.shape[-1])
+    (d_input_w, d_biases), dx = affine_backward(AffineParams(p.input_weights, p.biases), cache.x, dz_seq)
     h_prev_seq = np.concatenate([cache.h0[:, None], cache.h[:, :-1]], axis=1)
-    d_recur_w = dz2.T @ h_prev_seq.reshape(-1, hidden)
-    d_biases = dz2.sum(axis=0)
-    dx = dz_seq @ p.input_weights
+    d_recur_w = dz_seq.reshape(-1, 4 * hidden).T @ h_prev_seq.reshape(-1, hidden)
     return (d_input_w, d_recur_w, d_biases), dx, dh_next, dc_next
 
 

@@ -14,14 +14,15 @@ import pytest
 
 import bwex
 import bwex.data
+import bwex.models
 import bwex.train
 from bwex import dsp
 from bwex.cli import main
 from bwex.config import ConfigError, build_run_config, parse_config_text, serialize_config
 from bwex.data import load_features, load_wav, narrowband_mfcc, save_features, save_wav
 from bwex.dsp import Waveform
-from bwex.models import FieldError, HrnnConfig, SrnnConfig, max_latency_ms
-from bwex.train import TrainConfig
+from bwex.models import FieldError, HrnnConfig, SrnnConfig, build_model, max_latency_ms
+from bwex.train import Checkpoint, TrainConfig, save_checkpoint
 
 
 TOY_CONFIG = """\
@@ -417,6 +418,29 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "extend"])
+def test_out_of_memory_is_a_one_line_data_error(toy_corpus, capsys, monkeypatch, command):
+    """A bare MemoryError, raised where the work is, exits 2 with one line
+    that names it; nothing is allocated for real."""
+    tmp_path, config, _ = toy_corpus
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    out = tmp_path / "out"
+    if command == "train":
+        monkeypatch.setattr(bwex.train, "train", out_of_memory)
+        argv = ["train", "--config", str(config), "--out", str(out)]
+    else:
+        model = build_model(build_run_config(TOY_CONFIG).model_cfg, rng=0)
+        save_checkpoint(tmp_path / "m.bweh", Checkpoint(config_text=TOY_CONFIG, params=model.params))
+        save_wav(tmp_path / "nb.wav", synth_narrowband(1000))
+        monkeypatch.setattr(bwex.models, "generate", out_of_memory)
+        argv = ["extend", "--model", str(tmp_path / "m.bweh"), "--in", str(tmp_path / "nb.wav"), "--out", str(out)]
+    assert assert_data_error(capsys, argv) == "data error: out of memory: MemoryError\n"
+    assert not out.exists()
 
 
 class TestCliExtendAndEval:

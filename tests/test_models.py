@@ -13,6 +13,7 @@ from bwex.models import (
     GENERATE_CHUNK,
     VALIDATE_CHUNK,
     MAX_DIM,
+    _Model,
     FieldError,
     Hrnn,
     HrnnConfig,
@@ -35,6 +36,25 @@ def tiny_cfg(frame_sizes=(16, 4), n_concat=(2, 2, 4), hidden=8, embed_dim=4, **k
     return HrnnConfig.build(
         frame_sizes=frame_sizes, n_concat=n_concat, hidden=hidden, embed_dim=embed_dim, **kw
     )
+
+
+class OneFanout(_Model):
+    """A model of one fan-out layer, `fanout`; its config is the weight
+    shape [r, down, up]."""
+
+    def _layout(self):
+        ratio, down, _ = self.cfg
+        return {"fanout.w": (self.cfg, None), "fanout.b": ((ratio, down), None)}
+
+
+def fanout_backward(d_out, h, w):
+    """(d_weights, d_biases, dh) of the fan-out, on the backward path and
+    the 2-D operands `Hrnn.backward` gives it."""
+    model = OneFanout(w.shape, dtype=w.dtype, params={"fanout.w": w, "fanout.b": np.zeros(w.shape[:2], w.dtype)})
+    grads = {}
+    h_rows = h.reshape(-1, h.shape[-1])
+    dh = model._affine_backward("fanout", h_rows, d_out.reshape(len(h_rows), -1), grads)
+    return grads["fanout.w"], grads["fanout.b"], dh.reshape(h.shape)
 
 
 def zero_params(model):
@@ -261,8 +281,6 @@ class TestConditioningFanout:
         # The einsum expressions of the fan-out and its backward serve as
         # the oracle for the GEMM forms. Entries that cancel to near zero
         # differ by an ulp of the O(1) terms, hence the matching atol.
-        from bwex.models import _fanout_backward
-
         rng = np.random.default_rng(ratio)
         batch, steps, up, down = 3, 5, 7, 6
         h = rng.standard_normal((batch, steps, up))
@@ -272,7 +290,7 @@ class TestConditioningFanout:
         np.testing.assert_allclose(conditioning_fanout(h, w, b), expected, rtol=1e-12, atol=1e-12)
         d_out = rng.standard_normal((batch, steps * ratio, down))
         d4 = d_out.reshape(batch, steps, ratio, down)
-        d_weights, d_biases, dh = _fanout_backward(d_out, h, w)
+        d_weights, d_biases, dh = fanout_backward(d_out, h, w)
         np.testing.assert_allclose(d_weights, np.einsum("btrj,bth->rjh", d4, h), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(d_biases, d4.sum(axis=(0, 1)), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dh, np.einsum("btrj,rjh->bth", d4, w), rtol=1e-12, atol=1e-12)
@@ -478,14 +496,12 @@ class TestGradients:
         assert report.passed, report.per_param
 
     def test_fanout_rows_without_upstream_signal_get_zero_grad(self):
-        from bwex.models import _fanout_backward
-
         rng = np.random.default_rng(13)
         h = rng.standard_normal((1, 3, 2))
         w = rng.standard_normal((4, 2, 2))
         d_out = rng.standard_normal((1, 12, 2))
         d_out.reshape(1, 3, 4, 2)[:, :, 2] = 0.0  # projection j=3 never signalled
-        dw, _, _ = _fanout_backward(d_out, h, w)
+        dw, _, _ = fanout_backward(d_out, h, w)
         assert not dw[2].any()
         assert dw[0].any()
 
@@ -505,6 +521,67 @@ class TestGradients:
         assert loss_a == loss_b
         for name in grads_a:
             np.testing.assert_array_equal(grads_a[name], grads_b[name])
+
+
+@pytest.mark.parametrize("batch", [4, 1])  # row-blocked recurrent products at B=4, GEMVs at B=1
+class TestDenseLayerBits:
+    """The fan-out and the LSTM input projection run through `nn.affine`
+    and `nn.affine_backward`. At h=256 in float32, on data that is not
+    dyadic, they give the bits of the expressions they replaced, written
+    out here as oracles; `GRADS_GOLDEN` pins the gradients only at h=8."""
+
+    hidden, steps, n_in, ratio = 256, 20, 96, 4
+
+    def test_fanout_forward_and_gradients(self, batch):
+        rng = np.random.default_rng(batch)
+        up = down = self.hidden
+        h = rng.standard_normal((batch, self.steps, up)).astype(np.float32)
+        w = (rng.standard_normal((self.ratio, down, up)) / 16).astype(np.float32)
+        b = rng.standard_normal((self.ratio, down)).astype(np.float32)
+        d_out = rng.standard_normal((batch, self.steps * self.ratio, down)).astype(np.float32)
+        expanded = h.reshape(-1, up) @ w.reshape(self.ratio * down, up).T
+        expanded += b.reshape(-1)
+        np.testing.assert_array_equal(conditioning_fanout(h, w, b), expanded.reshape(batch, -1, down))
+        d2 = d_out.reshape(-1, self.ratio * down)
+        d_weights, d_biases, dh = fanout_backward(d_out, h, w)
+        np.testing.assert_array_equal(d_weights, (d2.T @ h.reshape(-1, up)).reshape(w.shape))
+        np.testing.assert_array_equal(d_biases, d2.sum(axis=0).reshape(self.ratio, down))
+        np.testing.assert_array_equal(dh, (d2 @ w.reshape(self.ratio * down, up)).reshape(h.shape))
+
+    def test_lstm_input_projection_and_its_gradients(self, batch, monkeypatch):
+        rng = np.random.default_rng(10 + batch)
+        p = nn.LstmParams.create(self.hidden, self.n_in, rng)
+        p.biases[...] = rng.standard_normal(p.biases.shape)
+        x = rng.standard_normal((batch, self.steps, self.n_in)).astype(np.float32)
+        h0, c0 = (rng.standard_normal((batch, self.hidden)).astype(np.float32) for _ in range(2))
+        dh_seq = rng.standard_normal((batch, self.steps, self.hidden)).astype(np.float32)
+        seen = {}
+
+        def spy(name, fn):
+            def wrapper(*args):
+                result = fn(*args)
+                # A copy of the projection: the forward may scale it in place.
+                seen[name] = args, (result if name == "affine_backward" else result.copy())
+                return result
+
+            monkeypatch.setattr(nn, name, wrapper)
+
+        spy("affine", nn.affine)
+        spy("affine_backward", nn.affine_backward)
+        _, _, cache = nn.lstm_forward(p, x, h0, c0)
+        (d_input_w, _, d_biases), dx, _, _ = nn.lstm_backward(p, cache, dh_seq)
+
+        (_, x_seen), x_proj = seen["affine"]
+        x_expected = x @ p.input_weights.T
+        x_expected += p.biases
+        assert x_seen is x
+        np.testing.assert_array_equal(x_proj, x_expected)
+        (_, x_seen, dz_seq), _ = seen["affine_backward"]
+        assert x_seen is x and dz_seq.shape == (batch, self.steps, 4 * self.hidden)
+        dz2 = dz_seq.reshape(-1, 4 * self.hidden)
+        np.testing.assert_array_equal(d_input_w, dz2.T @ x.reshape(-1, self.n_in))
+        np.testing.assert_array_equal(d_biases, dz2.sum(axis=0))
+        np.testing.assert_array_equal(dx, dz_seq @ p.input_weights)
 
 
 class TestGenerate:
